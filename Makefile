@@ -78,8 +78,12 @@ bench-regress:
 	$(GO) test ./internal/life -run='^$$' -bench='^BenchmarkLifetime$$' -benchmem -benchtime=1x | tee bench/regress.txt
 	@command -v benchstat >/dev/null 2>&1 && benchstat bench/baseline.txt bench/regress.txt || true
 
+# vet also fails on any file gofmt would rewrite, so CI (make verify)
+# catches formatting drift.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "vet: gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # Guard: the lane-vs-scalar differential suites are the lockstep
 # engine's correctness contract. If a build tag (or a rename) ever

@@ -70,22 +70,22 @@ import (
 )
 
 type options struct {
-	addr         string
-	workers      int
-	queue        int
-	cacheEntries int
-	cacheMB      int
-	timeout      time.Duration
-	maxTimeout   time.Duration
-	maxBodyKB    int
-	maxNodes     int
+	addr          string
+	workers       int
+	queue         int
+	cacheEntries  int
+	cacheMB       int
+	timeout       time.Duration
+	maxTimeout    time.Duration
+	maxBodyKB     int
+	maxNodes      int
 	sweepWorkers  int
 	storeDir      string
 	storeMaxBytes int64
 	jobWorkers    int
-	drain        time.Duration
-	quiet        bool
-	pprofAddr    string
+	drain         time.Duration
+	quiet         bool
+	pprofAddr     string
 }
 
 func main() {

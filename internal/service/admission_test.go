@@ -10,26 +10,44 @@ import (
 )
 
 func TestPoolRunsJobs(t *testing.T) {
-	// Queue capacity 6 fits all 8 submissions (2 in flight + 6 queued)
-	// even if every goroutine enqueues before a worker dequeues —
-	// capacity 4 shed load with "queue full" on scheduling luck.
+	// Two jobs in flight plus six queued fill a pool of 2 workers and
+	// capacity 6 exactly, and all eight must run. Do never blocks on
+	// admission, so the two long jobs occupy both workers before the
+	// other six are submitted; otherwise a burst that outruns the
+	// workers' first dequeue sheds load with "queue full".
 	p := newPool(2, 6)
 	defer drain(t, p)
 	var n atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	submit := func(fn func(context.Context) ([]byte, error)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			body, err := p.Do(context.Background(), func(context.Context) ([]byte, error) {
-				n.Add(1)
-				return []byte("ok"), nil
-			})
+			body, err := p.Do(context.Background(), fn)
 			if err != nil || string(body) != "ok" {
 				t.Errorf("Do = %q, %v", body, err)
 			}
 		}()
 	}
+	release := make(chan struct{})
+	running := make(chan struct{}, 2)
+	for i := 0; i < 2; i++ {
+		submit(func(context.Context) ([]byte, error) {
+			n.Add(1)
+			running <- struct{}{}
+			<-release
+			return []byte("ok"), nil
+		})
+	}
+	<-running
+	<-running
+	for i := 0; i < 6; i++ {
+		submit(func(context.Context) ([]byte, error) {
+			n.Add(1)
+			return []byte("ok"), nil
+		})
+	}
+	close(release)
 	wg.Wait()
 	if n.Load() != 8 {
 		t.Errorf("ran %d jobs, want 8", n.Load())

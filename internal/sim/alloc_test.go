@@ -73,3 +73,51 @@ func TestRunAllocationReduction(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairHeavyAllocationBudget pins the same budgets on flooding,
+// whose schedules need at least three replay rounds: the rewind logs
+// and per-slot checkpoints that let replays resume mid-schedule live in
+// the pooled arena, so the extra rounds allocate nothing. Budgets: at
+// most 8 allocations per steady-state sim.Run, at most 2 per Session
+// round.
+func TestRepairHeavyAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector defeats sync.Pool reuse and allocates for instrumentation; budget holds only in normal builds")
+	}
+	p := core.NewFlooding()
+	for _, k := range grid.Kinds() {
+		topo := grid.Canonical(k)
+		src := topo.At(topo.NumNodes() / 2)
+		if _, resumed := runResumed(t, topo, p, src, sim.Config{}); resumed < 2 {
+			t.Fatalf("%s: flooding ran %d replay rounds; the case needs at least 3", k, resumed+1)
+		}
+		if allocs := steadyStateAllocs(t, topo, p, src, sim.Config{}, sim.Run); allocs > 8 {
+			t.Errorf("%s: %.1f allocs per steady-state flooding Run, budget is 8", k, allocs)
+		}
+	}
+
+	topo := grid.Canonical(grid.Mesh2D4)
+	src := topo.At(topo.NumNodes() / 2)
+	sess, err := sim.NewSession(topo, p, sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(src); err != nil {
+		t.Fatal(err)
+	}
+	flip := false
+	allocs := testing.AllocsPerRun(100, func() {
+		flip = !flip
+		if flip {
+			_ = sess.SetLinkDown(30)
+		} else {
+			_ = sess.SetLinkUp(30)
+		}
+		if _, err := sess.Run(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("steady-state flooding session round allocates %.1f/op, budget is 2", allocs)
+	}
+}

@@ -39,12 +39,12 @@ import (
 type fallbackReason int
 
 const (
-	fbScalar fallbackReason = iota // trace or channel config: inherently full-run
-	fbCold                         // no valid cache yet (first run, Reset, prior error)
-	fbSource                       // requested source differs from the cached one
-	fbSeeds                        // mutation seed set too large to beat a full run
-	fbStructure                    // replay/plan structure diverged from the cache
-	fbBudget                       // cone event budget exceeded
+	fbScalar    fallbackReason = iota // trace or channel config: inherently full-run
+	fbCold                            // no valid cache yet (first run, Reset, prior error)
+	fbSource                          // requested source differs from the cached one
+	fbSeeds                           // mutation seed set too large to beat a full run
+	fbStructure                       // replay/plan structure diverged from the cache
+	fbBudget                          // cone event budget exceeded
 	fbCount
 )
 
@@ -237,10 +237,6 @@ func (d *deltaScratch) sizeTo(v int) {
 	d.hEp = make([]uint64, v)
 	d.heardD = make([]int32, v)
 }
-
-// flip toggles bit i; unset clears it.
-func (b bitset) flip(i int32)  { b[i>>6] ^= 1 << (uint32(i) & 63) }
-func (b bitset) unset(i int32) { b[i>>6] &^= 1 << (uint32(i) & 63) }
 
 // noteDeath records a post-capture node death seed.
 func (s *Session) noteDeath(i int32) {

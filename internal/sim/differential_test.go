@@ -161,7 +161,7 @@ func TestDifferentialGossipAndSnapshot(t *testing.T) {
 // the runaway-schedule guard.
 type hugeDelayProto struct{}
 
-func (hugeDelayProto) Name() string                                      { return "huge-delay" }
+func (hugeDelayProto) Name() string                                       { return "huge-delay" }
 func (hugeDelayProto) IsRelay(grid.Topology, grid.Coord, grid.Coord) bool { return true }
 func (hugeDelayProto) TxDelay(grid.Topology, grid.Coord, grid.Coord) int  { return 1000 }
 func (hugeDelayProto) Retransmits(grid.Topology, grid.Coord, grid.Coord) []int {

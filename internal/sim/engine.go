@@ -104,6 +104,11 @@ var (
 	autoWorkersCap = 8
 )
 
+// resumeHook, when non-nil, observes the resume slot of every replay
+// that rewinds instead of restarting from slot 0. Nil in production;
+// the package's tests install a counter to prove resumption happens.
+var resumeHook func(S int)
+
 // effectiveWorkers resolves Config.Workers for a v-node run.
 func effectiveWorkers(cfgWorkers, v int) int {
 	if cfgWorkers == 1 {
@@ -140,14 +145,15 @@ type injection struct {
 // transmission is counted in Result.Repairs.
 //
 // Run is the optimized engine: a slot-indexed array schedule (no
-// hashing on the hot path), a pooled scratch arena reset — not
-// reallocated — across repair-replay rounds and reused across runs,
-// and a memoized relay plan replacing the per-decode Protocol
-// interface calls. Above largeGridNodes (and for every Irregular mesh)
-// it additionally drops the materialized adjacency for implicit
-// neighbor indexing (grid.NeighborIndexer) and, when Config.Workers
-// allows, shards each slot's transmitter set across a bounded worker
-// pool with shard-ordered merges. RunReference preserves the original
+// hashing on the hot path), a pooled scratch arena reused across runs
+// and rewound — not reallocated — so each repair replay re-simulates
+// only the slots from its earliest new injection on, and a memoized
+// relay plan replacing the per-decode Protocol interface calls. Above
+// largeGridNodes (and for every Irregular mesh) it additionally drops
+// the materialized adjacency for implicit neighbor indexing
+// (grid.NeighborIndexer) and, when Config.Workers allows, shards each
+// slot's transmitter set across a bounded worker pool with
+// shard-ordered merges. RunReference preserves the original
 // implementation; the differential tests prove every path produces
 // byte-identical Results.
 func Run(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*Result, error) {
@@ -249,13 +255,23 @@ func runLoop(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*engine, 
 // round-persistent Session. The injection lists live in the pooled
 // arena (injPlan), so a steady-state schedule with no repairs plans
 // with zero allocations.
+//
+// Only the first replay starts from slot 0. Every later one resumes at
+// the earliest slot S its round's new injections occupy: slots below S
+// replay identically (see rewind), so the engine rewinds its state to
+// the top of slot S in place and drains the suffix alone.
 func (e *engine) runSchedule() error {
 	inj := e.injPlan[:0]
 	defer func() { e.injPlan = inj[:0] }() // retain grown capacity
 	e.usedAppendRepair = false
+	resume := 0
 	for round := 0; ; round++ {
-		e.reset(inj)
-		if err := e.drain(); err != nil {
+		if round == 0 {
+			e.reset(inj)
+		} else {
+			e.rewind(resume, inj)
+		}
+		if err := e.drain(resume); err != nil {
 			return err
 		}
 		if e.onReplay != nil {
@@ -274,8 +290,13 @@ func (e *engine) runSchedule() error {
 			e.usedAppendRepair = true
 			return e.appendRepair()
 		}
+		newFrom := len(inj)
 		if e.planInjections(&inj) == 0 {
 			return nil // unreached nodes are disconnected from the source
+		}
+		resume = inj[newFrom].slot
+		for _, in := range inj[newFrom+1:] {
+			resume = min(resume, in.slot)
 		}
 	}
 }
@@ -385,11 +406,12 @@ type stepShard struct {
 // engine holds the mutable state of one schedule replay. Engines are
 // pooled (enginePool): all scratch state — the struct-of-arrays
 // decode/heard/hit vectors, the covered bitset, per-node transmission
-// logs, the slot queues, the shard buffers, the trace buffer — is
-// sized once and reset, not reallocated, across the repair-replay
-// rounds of one Run and across the thousands of Runs of a sweep or
-// Monte Carlo grid. Only the slices that escape into the Result are
-// freshly allocated, in finish.
+// logs, the slot queues, the shard buffers, the trace buffer, the
+// rewind logs and checkpoints — is sized once and reset or rewound,
+// not reallocated, across the repair-replay rounds of one Run and
+// across the thousands of Runs of a sweep or Monte Carlo grid. Only
+// the slices that escape into the Result are freshly allocated, in
+// finish.
 type engine struct {
 	// Per-Run bindings, cleared on release so the pool pins nothing.
 	topo    grid.Topology
@@ -410,7 +432,7 @@ type engine struct {
 	// bits for the flags, never O(N*deg).
 	decode     []int32 // first-decode slot, -1 never; source 0
 	covered    bitset  // decode[i] >= 0, plus padding bits set
-	heard      []int32 // receptions per node
+	heard      []int32 // receptions per node, derived from txSlots by finishInto
 	hit        []int32 // scratch: transmitters heard this slot
 	txSlots    [][]int
 	touched    []int32   // scratch: receivers hit this slot
@@ -429,8 +451,14 @@ type engine struct {
 	dedupBits  bitset      // dedupe scratch, all-zero between calls
 	traceBuf   []Event
 
+	// Rewind state (see rewind): append-only logs in slot order, popped
+	// from the tail, plus the counters as of the top of every drained
+	// slot.
+	decLog []int32     // non-source nodes in decode order
+	txLog  []int32     // each stepped slot's deduplicated transmitters
+	checks []slotCheck // checks[s]: counters at the top of slot s
+
 	outstanding int
-	maxSched    int // highest slot with scheduled activity so far
 	last        int // highest slot processed with activity
 	res         Result
 
@@ -439,7 +467,7 @@ type engine struct {
 	// delta cache uses it to snapshot per-replay state. usedAppendRepair
 	// records that the serialized-repair fallback ran after the last
 	// replay, so snapshots of this run are stale and must be dropped.
-	onReplay        func(inj []injection)
+	onReplay         func(inj []injection)
 	usedAppendRepair bool
 }
 
@@ -523,10 +551,29 @@ func (e *engine) liveFilter() []bool {
 	return nil
 }
 
-// reset rewinds the engine to the start of a schedule replay: clears
+// slotCheck is the engine's counter state at the top of one slot: the
+// counts over every earlier slot, and the last slot that stepped.
+type slotCheck struct {
+	tx, rx, lost, coll, dup, repairs, last int
+}
+
+// checkpoint records the counters as of the top of slot, truncating
+// any checkpoints past it (a superseded replay's). Slots between the
+// previous drain's end and slot saw no activity, so they take the
+// current counters too.
+func (e *engine) checkpoint(slot int) {
+	ck := slotCheck{e.res.Tx, e.res.Rx, e.res.Lost, e.res.Collisions, e.res.Duplicates, e.res.Repairs, e.last}
+	for len(e.checks) < slot {
+		e.checks = append(e.checks, ck)
+	}
+	e.checks = append(e.checks[:slot], ck)
+}
+
+// reset prepares the engine for a schedule replay from slot 0: clears
 // the arena, seeds the source's transmissions, and loads the planned
 // repair injections. Equivalent to the reference engine constructing a
-// fresh state per round, without the allocations.
+// fresh state per round, without the allocations. Later replays of the
+// same run go through rewind.
 func (e *engine) reset(inj []injection) {
 	for i := range e.decode {
 		e.decode[i] = -1
@@ -536,7 +583,6 @@ func (e *engine) reset(inj []injection) {
 	for i := int32(v); i < int32(len(e.covered)<<6); i++ {
 		e.covered.set(i) // padding bits read as covered by the scans
 	}
-	clear(e.heard)
 	clear(e.hit)
 	for i := range e.txSlots {
 		e.txSlots[i] = e.txSlots[i][:0]
@@ -545,7 +591,10 @@ func (e *engine) reset(inj []injection) {
 	e.pending.reset()
 	e.inject.reset()
 	e.traceBuf = e.traceBuf[:0]
-	e.outstanding, e.maxSched, e.last = 0, 0, 0
+	e.decLog = e.decLog[:0]
+	e.txLog = e.txLog[:0]
+	e.checks = e.checks[:0]
+	e.outstanding, e.last = 0, 0
 
 	e.res = Result{
 		Kind:     e.topo.Kind(),
@@ -566,14 +615,105 @@ func (e *engine) reset(inj []injection) {
 	}
 }
 
+// rewind prepares a replay that resumes at slot S, given the state the
+// previous replay left and the grown injection list. Every injection
+// the last planning round added lands at a slot >= S, and every booking
+// lands strictly after the slot that makes it, so the replay agrees
+// with its predecessor on every slot below S: same decodes, same
+// transmissions, same counters, same trace events. rewind therefore
+// keeps that prefix and undoes only the suffix, in place:
+//
+//   - counters and last restore from the slot-S checkpoint; past the
+//     last drain's end nothing happened and they stand as they are;
+//   - decodes at >= S pop off the tail of the decode log, clearing
+//     decode, covered and Reached;
+//   - transmissions at >= S pop off the tail of the transmitter log,
+//     truncating txSlots, and trace events at >= S drop off traceBuf;
+//   - the queues refill with exactly the prefix's bookings at >= S: the
+//     source's transmissions, the relays of prefix decodes, and the
+//     injections, in list order as reset books them.
+//
+// Only decodes within the plan's span below S can book a slot >= S, so
+// the whole rewind costs O(suffix + span window), not O(nodes).
+// Reception counts need no rewinding: finishInto derives them from the
+// final schedule.
+func (e *engine) rewind(S int, inj []injection) {
+	if resumeHook != nil {
+		resumeHook(S)
+	}
+	if S < len(e.checks) {
+		ck := e.checks[S]
+		e.res.Tx, e.res.Rx, e.res.Lost = ck.tx, ck.rx, ck.lost
+		e.res.Collisions, e.res.Duplicates, e.res.Repairs = ck.coll, ck.dup, ck.repairs
+		e.last = ck.last
+	}
+	n := len(e.decLog)
+	for ; n > 0 && int(e.decode[e.decLog[n-1]]) >= S; n-- {
+		u := e.decLog[n-1]
+		e.decode[u] = -1
+		e.covered.unset(u)
+		e.res.Reached--
+	}
+	e.decLog = e.decLog[:n]
+	m := len(e.txLog)
+	for ; m > 0; m-- {
+		// The log's tail entry for a node is its row's last slot.
+		u := e.txLog[m-1]
+		row := e.txSlots[u]
+		if row[len(row)-1] < S {
+			break
+		}
+		e.txSlots[u] = row[:len(row)-1]
+	}
+	e.txLog = e.txLog[:m]
+	tb := e.traceBuf
+	for len(tb) > 0 && tb[len(tb)-1].Slot >= S {
+		tb = tb[:len(tb)-1]
+	}
+	e.traceBuf = tb
+
+	e.pending.reset()
+	e.inject.reset()
+	e.outstanding = 0
+	if SourceTx >= S {
+		e.schedule(SourceTx, e.srcIdx)
+	}
+	for _, off := range e.plan.retransmits(e.srcIdx) {
+		if s := SourceTx + off; s >= S {
+			e.schedule(s, e.srcIdx)
+		}
+	}
+	for k := len(e.decLog) - 1; k >= 0; k-- {
+		u := e.decLog[k]
+		d := int(e.decode[u])
+		if d+e.plan.span < S {
+			break // the log is in slot order: every earlier decode books below S
+		}
+		if !e.plan.relay.get(u) {
+			continue
+		}
+		first := d + int(e.plan.delay[u])
+		if first >= S {
+			e.schedule(first, u)
+		}
+		for _, off := range e.plan.retransmits(u) {
+			if s := first + off; s >= S {
+				e.schedule(s, u)
+			}
+		}
+	}
+	for _, in := range inj {
+		if in.slot >= S {
+			e.injectAt(in.slot, in.node)
+		}
+	}
+}
+
 // schedule books a protocol transmission. Slots beyond MaxSlots are
 // counted but not stored: drain's runaway guard trips before any such
 // slot could be processed, so the bucket array stays bounded.
 func (e *engine) schedule(slot int, node int32) {
 	e.outstanding++
-	if slot > e.maxSched {
-		e.maxSched = slot
-	}
 	if slot > e.cfg.MaxSlots {
 		return
 	}
@@ -584,24 +724,26 @@ func (e *engine) schedule(slot int, node int32) {
 // schedule.
 func (e *engine) injectAt(slot int, node int32) {
 	e.outstanding++
-	if slot > e.maxSched {
-		e.maxSched = slot
-	}
 	if slot > e.cfg.MaxSlots {
 		return
 	}
 	e.inject.add(slot, node)
 }
 
-// drain processes slots in order until no transmissions remain
-// scheduled.
-func (e *engine) drain() error {
-	slot := e.last
+// drain processes slots in order, from the given slot, until no
+// transmissions remain scheduled, checkpointing the counters at the
+// top of each slot. Every checkpoint drops the ones past it, so on
+// return they end at the drain's actual end: later ones belong to an
+// earlier, longer replay whose suffix this one rewrote, and restoring
+// them would resurrect a superseded trajectory's counts.
+func (e *engine) drain(from int) error {
+	slot := from
 	for e.outstanding > 0 {
 		if slot > e.cfg.MaxSlots {
 			return fmt.Errorf("sim: %s/%s exceeded %d slots (runaway schedule)",
 				e.proto.Name(), e.topo.Kind(), e.cfg.MaxSlots)
 		}
+		e.checkpoint(slot)
 		txs := e.pending.take(slot)
 		injs := e.inject.take(slot)
 		if txs == nil && injs == nil {
@@ -626,8 +768,12 @@ func (e *engine) drain() error {
 					}
 				}
 			}
+			// Retain grown capacity: in the scratch buffer, or back in the
+			// just-taken bucket (nothing books into the slot being drained).
 			if fromScratch {
-				e.injScratch = txs // retain grown capacity
+				e.injScratch = txs
+			} else {
+				e.pending.keep(slot, txs)
 			}
 		}
 		if len(txs) == 0 {
@@ -646,6 +792,7 @@ func (e *engine) drain() error {
 // across the worker pool when it is large enough to pay for the
 // handoff.
 func (e *engine) step(slot int, txs []int32) {
+	e.txLog = append(e.txLog, txs...)
 	if e.workers > 1 && len(txs) >= parallelMinTxs {
 		e.stepSharded(slot, txs)
 		return
@@ -671,7 +818,6 @@ func (e *engine) step(slot int, txs []int32) {
 				}
 				continue
 			}
-			e.heard[nb]++
 			e.res.Rx++
 			if e.hit[nb] == 0 {
 				touched = append(touched, nb)
@@ -723,8 +869,8 @@ func (e *engine) stepSharded(slot int, txs []int32) {
 	wg.Wait()
 
 	// Shard-ordered merge: counters, trace streams, then the reception
-	// sequence driving heard/hit/touched — all identical to one serial
-	// pass over txs.
+	// sequence driving hit/touched — all identical to one serial pass
+	// over txs.
 	e.res.Tx += len(txs)
 	tracing := e.cfg.Trace != nil
 	touched := e.touched[:0]
@@ -736,7 +882,6 @@ func (e *engine) stepSharded(slot int, txs []int32) {
 			e.traceBuf = append(e.traceBuf, sh.trace...)
 		}
 		for _, nb := range sh.hits {
-			e.heard[nb]++
 			if e.hit[nb] == 0 {
 				touched = append(touched, nb)
 			}
@@ -800,6 +945,7 @@ func (e *engine) decodePhase(slot int, touched []int32) {
 		}
 		e.decode[nb] = int32(slot)
 		e.covered.set(nb)
+		e.decLog = append(e.decLog, nb)
 		e.res.Reached++
 		if tracing {
 			e.emit(Event{Slot: slot, Kind: EventDecode, Node: e.topo.At(int(nb))})
@@ -986,7 +1132,7 @@ func (e *engine) appendRepair() error {
 			return nil // disconnected topology: nothing more to do
 		}
 		e.injectAt(e.last+1, donor)
-		if err := e.drain(); err != nil {
+		if err := e.drain(e.last + 1); err != nil {
 			return err
 		}
 	}
@@ -1025,6 +1171,7 @@ func (e *engine) finishInto(r *Result, a *resultArena) *Result {
 			r.Delay = int(d)
 		}
 	}
+	e.deriveHeard()
 	etx := e.cfg.Model.TxEnergyJ(e.cfg.Packet.Bits, e.cfg.Packet.NeighborDistM)
 	erx := e.cfg.Model.RxEnergyJ(e.cfg.Packet.Bits)
 	v := len(e.txSlots)
@@ -1070,6 +1217,55 @@ func (e *engine) finishInto(r *Result, a *resultArena) *Result {
 	r.EnergyJ = ledger.TotalJ()
 	r.downMask = e.down
 	return r
+}
+
+// deriveHeard fills heard, the per-node reception counts, from the
+// final schedule: every transmission reaches each live neighbor of its
+// transmitter unless the channel drops it. The Channel is a pure
+// function of (slot, tx, rx), so re-asking it reproduces the verdicts
+// step saw, and the counts equal what a per-reception tally during the
+// final replay would hold — without the replays or rewinds having to
+// maintain one. The error-free channel walks the transmitter log, one
+// increment per reception like step's own loop; a lossy channel needs
+// each transmission's slot and walks the per-node rows instead.
+func (e *engine) deriveHeard() {
+	heard := e.heard
+	clear(heard)
+	filter := e.liveFilter()
+	if ch := e.cfg.Channel; ch != nil {
+		for tx, row := range e.txSlots {
+			if len(row) == 0 {
+				continue
+			}
+			for _, nb := range e.neighborsOf(int32(tx), &e.nbufStep) {
+				if filter != nil && filter[nb] {
+					continue
+				}
+				for _, s := range row {
+					if ch.Deliver(s, int32(tx), nb) {
+						heard[nb]++
+					}
+				}
+			}
+		}
+		return
+	}
+	if e.ix == nil {
+		// Materialized rows are already pruned of down nodes.
+		for _, tx := range e.txLog {
+			for _, nb := range e.nbr[tx] {
+				heard[nb]++
+			}
+		}
+		return
+	}
+	for _, tx := range e.txLog {
+		for _, nb := range e.neighborsOf(tx, &e.nbufStep) {
+			if filter == nil || !filter[nb] {
+				heard[nb]++
+			}
+		}
+	}
 }
 
 func (e *engine) emit(ev Event) {

@@ -1,6 +1,10 @@
 package sim
 
-import "wsnbcast/internal/grid"
+import (
+	"sync/atomic"
+
+	"wsnbcast/internal/grid"
+)
 
 // Test-only knobs for the large-grid engine thresholds. The engine
 // selects its neighbor source and parallelism by node count; forcing
@@ -95,3 +99,20 @@ func RunLoopForBenchmark(t grid.Topology, p Protocol, src grid.Coord, cfg Config
 	}
 	return err
 }
+
+// resumedReplays counts, across the test binary, every replay that
+// resumed at a slot S > 0 instead of restarting from slot 0.
+var resumedReplays atomic.Int64
+
+func init() {
+	resumeHook = func(S int) {
+		if S > 0 {
+			resumedReplays.Add(1)
+		}
+	}
+}
+
+// ResumedReplaysForTest returns the running count of replays that
+// resumed at S > 0. Tests read it before and after a run; the
+// difference is that run's resumed replay count.
+func ResumedReplaysForTest() int64 { return resumedReplays.Load() }

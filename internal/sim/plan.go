@@ -26,6 +26,11 @@ type relayPlan struct {
 	// schedules source retransmissions unconditionally).
 	retr    []int
 	retrIdx []int32
+	// span bounds how far past its decode slot a relay's bookings reach:
+	// the maximum of delay plus largest retransmit offset over relays.
+	// A resumed replay from slot S (engine.rewind) revisits only the
+	// decodes in [S-span, S) to rebook their transmissions at >= S.
+	span int
 }
 
 // isRelay reports the compiled IsRelay answer for node i.
@@ -152,10 +157,15 @@ func compilePlan(t grid.Topology, p Protocol, src grid.Coord, srcIdx int) *relay
 		} else if i == srcIdx {
 			offs = p.Retransmits(t, src, c)
 		}
+		reach := int(pl.delay[i])
 		for _, off := range offs {
 			if off >= 1 {
 				pl.retr = append(pl.retr, off)
+				reach = max(reach, int(pl.delay[i])+off)
 			}
+		}
+		if pl.relay.get(int32(i)) {
+			pl.span = max(pl.span, reach)
 		}
 		pl.retrIdx[i+1] = int32(len(pl.retr))
 	}

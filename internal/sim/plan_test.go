@@ -30,9 +30,9 @@ func (p planTestProto) Retransmits(t grid.Topology, src, c grid.Coord) []int {
 // be exempt from the plan cache, not panic it.
 type funcProto struct{ f func() }
 
-func (funcProto) Name() string                                           { return "func-proto" }
-func (funcProto) IsRelay(grid.Topology, grid.Coord, grid.Coord) bool     { return true }
-func (funcProto) TxDelay(grid.Topology, grid.Coord, grid.Coord) int      { return 1 }
+func (funcProto) Name() string                                            { return "func-proto" }
+func (funcProto) IsRelay(grid.Topology, grid.Coord, grid.Coord) bool      { return true }
+func (funcProto) TxDelay(grid.Topology, grid.Coord, grid.Coord) int       { return 1 }
 func (funcProto) Retransmits(grid.Topology, grid.Coord, grid.Coord) []int { return nil }
 
 // TestCompilePlanMatchesProtocol verifies the compiled table against

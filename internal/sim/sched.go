@@ -50,6 +50,11 @@ func (q *slotQueue) take(slot int) []int32 {
 	return b
 }
 
+// keep hands a taken slot's bucket back its (possibly regrown) array,
+// emptied, so capacity the engine grew while draining the slot is
+// reused by the next replay instead of reallocated.
+func (q *slotQueue) keep(slot int, b []int32) { q.buckets[slot] = b[:0] }
+
 // reset empties every bucket up to the high-water mark, retaining all
 // capacity. After a clean drain the buckets are already empty (take
 // clears as it goes); reset also covers error and abandoned-round

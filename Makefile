@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-engine bench-scale bench-json bench-regress benchstat vet verify lane-guard session-guard delta-guard fuzz-smoke golden cover jobs-e2e
+.PHONY: all build test race bench bench-engine bench-scale bench-json bench-regress benchstat vet verify lane-guard session-guard fuzz-smoke golden cover jobs-e2e
 
 all: verify
 
@@ -98,28 +98,17 @@ lane-guard:
 # Guard: the session-vs-sim.Run differential suites are the
 # round-persistent session's correctness contract (byte-identical
 # lifetime reports across topologies, strategies, churn and worker
-# counts). Same rationale as lane-guard: verify must fail loudly if a
-# rename or build tag ever drops them, because the race target below
-# is what runs them under the race detector.
+# counts, round-memo hits included, and across checkpoint resumes).
+# Same rationale as lane-guard: verify must fail loudly if a rename or
+# build tag ever drops them, because the race target below is what
+# runs them under the race detector.
 session-guard:
 	@$(GO) test ./internal/sim -run='^$$' -list='^TestSessionDifferentialAllKinds$$' | grep -q '^TestSessionDifferentialAllKinds$$' || \
 		{ echo "verify: TestSessionDifferentialAllKinds missing from internal/sim"; exit 1; }
 	@$(GO) test ./internal/life -run='^$$' -list='^TestSessionDifferentialMatrix$$' | grep -q '^TestSessionDifferentialMatrix$$' || \
 		{ echo "verify: TestSessionDifferentialMatrix missing from internal/life"; exit 1; }
-
-# Guard: the delta-vs-sim.Run differential suites are the incremental
-# delta path's correctness contract (RunDelta byte-identical to the
-# frozen one-shot engine across mutations, rotation, repairs and
-# fallbacks, and the lifetime matrix equal with the delta path on and
-# off). Verify must fail loudly if a rename or build tag ever drops
-# them; the race target is what runs them under the race detector.
-delta-guard:
-	@$(GO) test ./internal/sim -run='^$$' -list='^TestDeltaDifferentialAllKinds$$' | grep -q '^TestDeltaDifferentialAllKinds$$' || \
-		{ echo "verify: TestDeltaDifferentialAllKinds missing from internal/sim"; exit 1; }
-	@$(GO) test ./internal/sim -run='^$$' -list='^TestDeltaDifferentialChurnStorm$$' | grep -q '^TestDeltaDifferentialChurnStorm$$' || \
-		{ echo "verify: TestDeltaDifferentialChurnStorm missing from internal/sim"; exit 1; }
-	@$(GO) test ./internal/life -run='^$$' -list='^TestSessionDifferentialMatrix$$' | grep -q '^TestSessionDifferentialMatrix$$' || \
-		{ echo "verify: TestSessionDifferentialMatrix missing from internal/life"; exit 1; }
+	@$(GO) test ./internal/life -run='^$$' -list='^TestSessionCheckpointResumeMatchesReference$$' | grep -q '^TestSessionCheckpointResumeMatchesReference$$' || \
+		{ echo "verify: TestSessionCheckpointResumeMatchesReference missing from internal/life"; exit 1; }
 
 # Short fuzz smoke over the counter-based randomness layers — the
 # corpus seeds plus a few seconds of mutation; CI runs this on every
@@ -130,7 +119,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzLaneFailureMasks -fuzztime=5s
 	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzChurnDomainDisjoint -fuzztime=5s
 
-verify: lane-guard session-guard delta-guard build vet test race
+verify: lane-guard session-guard build vet test race
 
 # Coverage profile over the whole module; CI uploads coverage.out as
 # an artifact. Atomic mode so the profile is also valid under -race.

@@ -23,7 +23,6 @@
 //	wsnlife -seed 7 -reps 5                   # replicated, reproducible
 //	wsnlife -topo 2d4 -json                   # the /v1/lifetime report body
 //	wsnlife -static                           # the closed-form estimate (no round loop)
-//	wsnlife -no-delta                         # force full per-round runs (identical bytes, slower)
 //
 // The -static flag keeps the original closed-form estimator: per-node
 // energy of one broadcast scaled up to the budget, plus the idealized
@@ -68,7 +67,6 @@ type options struct {
 	workers    int
 	jsonOut    bool
 	static     bool
-	noDelta    bool
 }
 
 func main() {
@@ -89,7 +87,6 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 0, "cell worker pool size (0 = GOMAXPROCS)")
 	flag.BoolVar(&o.jsonOut, "json", false, "emit the lifetime report as JSON (the POST /v1/lifetime body)")
 	flag.BoolVar(&o.static, "static", false, "print the closed-form single-round estimate instead of running the multi-round engine")
-	flag.BoolVar(&o.noDelta, "no-delta", false, "run every round through the full engine instead of the incremental delta path (identical output, slower)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -253,7 +250,6 @@ func runStudy(o options, w io.Writer, kinds []grid.Kind) error {
 				BurnInRounds: o.burnin,
 			},
 		}.Canonical()
-		sc.LifetimeNoDelta = o.noDelta
 		rep, err := sc.LifetimeReport(context.Background(), o.workers, nil)
 		if err != nil {
 			return err

@@ -51,15 +51,6 @@ func BenchmarkLifetime(b *testing.B) {
 	benchRounds(b, benchSpec(64, 64, 1, 0.001, Static))
 }
 
-// BenchmarkLifetimeNoDelta is the headline study with the incremental
-// delta path disabled: every round is a full session run. The
-// headline delta speedup is this vs BenchmarkLifetime.
-func BenchmarkLifetimeNoDelta(b *testing.B) {
-	spec := benchSpec(64, 64, 1, 0.001, Static)
-	spec.NoDelta = true
-	benchRounds(b, spec)
-}
-
 // BenchmarkLifetimeReference is the identical study on the frozen
 // per-round sim.Run path (Spec.Reference), measured in the same
 // session so the session speedup is an honest A/B, not a
@@ -74,8 +65,8 @@ func BenchmarkLifetimeReference(b *testing.B) {
 // churn, batteries small enough that nodes die and the graph shrinks)
 // under both a static and a rotating source, churn-heavy (5% of ~8k
 // links flip per round), and churn-heavy at 128x128 (~32k links, 16k
-// nodes). The static death-only rung is the delta path's sweet spot:
-// most rounds mutate nothing and splice the cached result outright.
+// nodes). The static death-only rung is the round memo's sweet spot:
+// most rounds mutate nothing and reuse the previous Result outright.
 func BenchmarkLifetimeLadder(b *testing.B) {
 	b.Run("death-only-static-64", func(b *testing.B) {
 		benchRounds(b, benchSpec(64, 64, 0.003, 0, Static))
@@ -88,26 +79,6 @@ func BenchmarkLifetimeLadder(b *testing.B) {
 	})
 	b.Run("churn-heavy-128", func(b *testing.B) {
 		benchRounds(b, benchSpec(128, 128, 1, 0.05, Static))
-	})
-}
-
-// BenchmarkLifetimeLadderNoDelta runs the same rungs with the
-// incremental delta path disabled (Spec.NoDelta): every round is a
-// full session run. The delta speedup is LadderNoDelta vs Ladder; the
-// session-vs-reference speedup is LadderNoDelta vs LadderReference.
-func BenchmarkLifetimeLadderNoDelta(b *testing.B) {
-	nd := func(spec Spec) Spec { spec.NoDelta = true; return spec }
-	b.Run("death-only-static-64", func(b *testing.B) {
-		benchRounds(b, nd(benchSpec(64, 64, 0.003, 0, Static)))
-	})
-	b.Run("death-only-64", func(b *testing.B) {
-		benchRounds(b, nd(benchSpec(64, 64, 0.003, 0, RoundRobin)))
-	})
-	b.Run("churn-heavy-64", func(b *testing.B) {
-		benchRounds(b, nd(benchSpec(64, 64, 1, 0.05, Static)))
-	})
-	b.Run("churn-heavy-128", func(b *testing.B) {
-		benchRounds(b, nd(benchSpec(128, 128, 1, 0.05, Static)))
 	})
 }
 

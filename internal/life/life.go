@@ -104,12 +104,6 @@ type Spec struct {
 	// matrix in session_test.go — so Reference exists for those tests
 	// and for honest benchmarking, not for production use.
 	Reference bool
-	// NoDelta keeps the session path but forces full Session.Run rounds
-	// instead of the default incremental Session.RunDelta — the
-	// `wsnlife -no-delta` escape hatch. Like Reference it never changes
-	// report bytes (RunDelta is byte-identical by contract), only how
-	// each round is computed.
-	NoDelta bool
 	// Workers sizes the cell-sharding pool (<= 0: GOMAXPROCS). Cells
 	// are sequential inside; the report is byte-identical at any count.
 	Workers int
@@ -250,16 +244,6 @@ type CellReport struct {
 	// TotalEnergyJ is the cumulative radio energy of all rounds.
 	TotalEnergyJ float64      `json:"total_energy_j"`
 	Curve        []CurvePoint `json:"curve,omitempty"`
-
-	// DeltaHits / DeltaFallbacks are in-process debug counters: how many
-	// of the cell's rounds the session served from the incremental delta
-	// cone versus any full-engine path. Deliberately excluded from JSON
-	// (json:"-") so the wire format, checkpoints and result-cache
-	// identity are byte-identical whether or not the delta path ran —
-	// the differential matrix depends on that. Zero under
-	// Spec.Reference/NoDelta; counters reset on checkpoint resume.
-	DeltaHits      uint64 `json:"-"`
-	DeltaFallbacks uint64 `json:"-"`
 }
 
 // Checkpointer persists a cell's round-loop state between calls, so an
@@ -398,6 +382,14 @@ type cellState struct {
 	// drives (nil under Spec.Reference): deaths and link flips are
 	// applied to it incrementally, once, as they happen.
 	sess *sim.Session
+	// last memoizes the session's previous Result (valid until the next
+	// Run, Reset or mutation) and lastSrc its source. The protocols are
+	// deterministic and the round config is fixed — validate rejects
+	// Trace, and Config.Channel is a pure function of (slot, tx, rx) —
+	// so a round on an unchanged graph from the same source repeats
+	// the previous broadcast exactly. Every graph mutation clears last.
+	last    *sim.Result
+	lastSrc int32
 
 	// Per-round scratch of the Reference path, rebuilt each round.
 	downCoords []grid.Coord
@@ -535,6 +527,7 @@ func (st *cellState) churnStep(step int) {
 // the LinksOf enumeration).
 func (st *cellState) setLink(id int, down bool) {
 	st.linkDown[id] = down
+	st.last = nil
 	if st.sess == nil {
 		return
 	}
@@ -586,15 +579,14 @@ func (st *cellState) round() error {
 	st.churn(r)
 	var res *sim.Result
 	var err error
-	if st.sess != nil {
-		at := st.spec.Topology.At(int(src))
-		if st.spec.NoDelta {
-			res, err = st.sess.Run(at)
-		} else {
-			res, err = st.sess.RunDelta(at)
-		}
-	} else {
+	switch {
+	case st.sess == nil:
 		res, err = sim.Run(st.spec.Topology, st.spec.Protocol, st.spec.Topology.At(int(src)), st.roundConfig())
+	case st.last != nil && src == st.lastSrc:
+		res = st.last
+	default:
+		res, err = st.sess.Run(st.spec.Topology.At(int(src)))
+		st.last, st.lastSrc = res, src
 	}
 	if err != nil {
 		return fmt.Errorf("life: round %d: %w", r, err)
@@ -612,15 +604,17 @@ func (st *cellState) round() error {
 
 	// Deplete batteries and mark deaths. PerNodeEnergyJ is dense-index
 	// sized with zeros for down nodes, so one pass covers everyone.
+	battery, dead := st.battery, st.dead
 	for i, e := range res.PerNodeEnergyJ {
-		if e == 0 || st.dead[i] {
+		if e == 0 || dead[i] {
 			continue
 		}
-		st.battery[i] -= e
-		if st.battery[i] <= 0 {
-			st.battery[i] = 0
-			st.dead[i] = true
+		battery[i] -= e
+		if battery[i] <= 0 {
+			battery[i] = 0
+			dead[i] = true
 			st.deadN++
+			st.last = nil
 			if st.sess != nil {
 				_ = st.sess.SetNodeDown(i) // i ranges over PerNodeEnergyJ: always in-mesh
 			}
@@ -736,6 +730,9 @@ func (st *cellState) restore(raw []byte) error {
 	} else if len(s.LinkDown) > 0 {
 		return fmt.Errorf("checkpoint has down links but the cell has no churn")
 	}
+	if s.PrevSource < 0 || int(s.PrevSource) >= st.v {
+		return fmt.Errorf("checkpoint prev_source %d outside mesh", s.PrevSource)
+	}
 	st.prevSrc = s.PrevSource
 	st.rep = s.Report
 	st.energyJ = s.EnergyJ
@@ -750,6 +747,7 @@ func (st *cellState) restore(raw []byte) error {
 // filter of the pristine row by the current node/link state, whatever
 // mutation order produced it), so resumed runs stay byte-identical.
 func (st *cellState) syncSession() {
+	st.last = nil
 	if st.sess == nil {
 		return
 	}
@@ -766,15 +764,9 @@ func (st *cellState) syncSession() {
 	}
 }
 
-// finish seals the report, folding the session's delta counters into
-// the debug fields and the package totals (served at /metrics).
+// finish seals the report.
 func (st *cellState) finish() CellReport {
 	st.rep.Deaths = st.deadN
 	st.rep.TotalEnergyJ = st.energyJ
-	if st.sess != nil {
-		hits, falls := st.sess.DeltaStats()
-		st.rep.DeltaHits, st.rep.DeltaFallbacks = hits, falls
-		addDeltaTotals(hits, falls)
-	}
 	return st.rep
 }

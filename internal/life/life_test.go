@@ -274,6 +274,136 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	}
 }
 
+// A checkpoint whose prev_source lies outside the mesh is rejected
+// like an out-of-range dead index: a negative value must not panic
+// round-robin's pickSource, and an oversized one must not silently
+// pick some other source.
+func TestCheckpointPrevSourceRejected(t *testing.T) {
+	spec := testSpec()
+	spec.Strategies = []Strategy{RoundRobin}
+	spec.PFail = nil
+	spec.CheckpointEvery = 8
+	rec := &memCkpt{}
+	if _, err := RunCell(context.Background(), spec, 0, rec); err != nil {
+		t.Fatal(err)
+	}
+	for _, prev := range []int32{-7, 1 << 20} {
+		var s ckptState
+		if err := json.Unmarshal(rec.saves[0], &s); err != nil {
+			t.Fatal(err)
+		}
+		s.PrevSource = prev
+		if _, err := RunCell(context.Background(), spec, 0, &memCkpt{loaded: mustJSON(t, s)}); err == nil {
+			t.Errorf("checkpoint with prev_source %d accepted", prev)
+		}
+	}
+}
+
+// With p_fail == 0 and p_new == 0 the churn sweep is skipped entirely.
+// The report must stay byte-identical to the frozen reference path,
+// and burn-in — which only advances the (empty) chain — must change
+// nothing.
+func TestChurnZeroSweepSkipByteIdentity(t *testing.T) {
+	spec := matrixSpec(grid.Mesh2D4)
+	spec.PFail = []float64{0}
+	spec.PNew = 0
+
+	ref := spec
+	ref.Reference = true
+	want, err := Run(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+		t.Error("churn-0 session report differs from reference")
+	}
+
+	burned := spec
+	burned.BurnInRounds = 32
+	burnedRep, err := Run(context.Background(), burned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, burnedRep), mustJSON(t, want)) {
+		t.Error("burn-in on a churn-0 study changed the report")
+	}
+}
+
+// Permanent failures (p_new == 0, p_fail > 0) take the skip-the-
+// recovery-draw branch; the report must still match the reference.
+func TestPermanentFailureChurnByteIdentity(t *testing.T) {
+	spec := matrixSpec(grid.Mesh2D4)
+	spec.PFail = []float64{0.05}
+	spec.PNew = 0
+
+	ref := spec
+	ref.Reference = true
+	want, err := Run(context.Background(), ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+		t.Error("permanent-failure session report differs from reference")
+	}
+}
+
+// Rotation edge case: a round whose own source dies during that round.
+// pickSource only ever returns alive nodes, so a dead prevSrc after
+// round() means the source died while sourcing; the loop must carry on
+// (round-robin skips the corpse) and the session path must agree with
+// the reference byte for byte.
+func TestRotationSourceDiesSameRound(t *testing.T) {
+	topo := grid.New(grid.Mesh2D4, 8, 8, 1)
+	spec := Spec{
+		Topology:     topo,
+		Protocol:     core.ForTopology(grid.Mesh2D4),
+		Source:       topo.At(topo.NumNodes() / 2),
+		BudgetJ:      0.003,
+		MaxRounds:    96,
+		Seed:         11,
+		Replications: 1,
+		Strategies:   []Strategy{RoundRobin},
+	}
+	probe := spec
+	probe.Reference = true
+	st, err := newCellState(probe, probe.CellAt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	occurred := false
+	for !st.stopped() {
+		if err := st.round(); err != nil {
+			t.Fatal(err)
+		}
+		if st.dead[st.prevSrc] {
+			occurred = true
+		}
+	}
+	if !occurred {
+		t.Fatalf("no source died during its own round in %d rounds; retune the budget", st.rep.Rounds)
+	}
+
+	want, err := RunCell(context.Background(), probe, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunCell(context.Background(), spec, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+		t.Error("session report differs from reference after a same-round source death")
+	}
+}
+
 func TestSpecValidation(t *testing.T) {
 	base := testSpec()
 	for name, mut := range map[string]func(*Spec){

@@ -17,8 +17,9 @@ import (
 )
 
 // matrixSpec is one small-but-busy study per topology kind: batteries
-// sized to cause deaths within the round budget, churn at 5% with
-// recovery, all three strategies.
+// sized to cause deaths within the round budget, all three strategies,
+// and three churn rates with recovery — none, 0.2% (most rounds flip
+// nothing, so round-memo hits interleave with mutated rounds) and 5%.
 func matrixSpec(k grid.Kind) Spec {
 	topo := grid.New(k, 8, 8, 4)
 	return Spec{
@@ -30,7 +31,7 @@ func matrixSpec(k grid.Kind) Spec {
 		Seed:         11,
 		Replications: 1,
 		Strategies:   []Strategy{Static, RoundRobin, Residual},
-		PFail:        []float64{0, 0.05},
+		PFail:        []float64{0, 0.002, 0.05},
 		PNew:         0.25,
 	}
 }
@@ -51,59 +52,105 @@ func TestSessionDifferentialMatrix(t *testing.T) {
 			}
 			wantJSON := mustJSON(t, want)
 			for _, workers := range []int{1, 2, 8} {
-				for _, noDelta := range []bool{false, true} {
-					spec := matrixSpec(k)
-					spec.Workers = workers
-					spec.NoDelta = noDelta
-					got, err := Run(context.Background(), spec)
-					if err != nil {
-						t.Fatalf("workers=%d noDelta=%v: %v", workers, noDelta, err)
-					}
-					if gotJSON := mustJSON(t, got); !bytes.Equal(gotJSON, wantJSON) {
-						t.Errorf("workers=%d noDelta=%v: session report differs from reference:\n got %s\nwant %s",
-							workers, noDelta, gotJSON, wantJSON)
-					}
+				spec := matrixSpec(k)
+				spec.Workers = workers
+				got, err := Run(context.Background(), spec)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if gotJSON := mustJSON(t, got); !bytes.Equal(gotJSON, wantJSON) {
+					t.Errorf("workers=%d: session report differs from reference:\n got %s\nwant %s",
+						workers, gotJSON, wantJSON)
 				}
 			}
 		})
 	}
 }
 
-// A session-driven cell resumed from any mid-run checkpoint — with
-// churn and burn-in active, so the restored state includes down links
-// and dead nodes the session must reconstruct — finishes with the
-// byte-identical report of an uninterrupted reference run.
+// A session-driven cell resumed from any mid-run checkpoint finishes
+// with the byte-identical report of an uninterrupted reference run.
+// Two cells: the static churn-free one, where resumes land inside a
+// round-memo stretch, and the churned residual-rotation one with
+// burn-in, whose restored state includes down links and dead nodes
+// the session must reconstruct.
 func TestSessionCheckpointResumeMatchesReference(t *testing.T) {
 	spec := matrixSpec(grid.Mesh2D4)
 	spec.BurnInRounds = 16
 	spec.CheckpointEvery = 8
-	index := spec.NumCells() - 1 // residual rotation, churned
 	ref := spec
 	ref.Reference = true
-	base, err := RunCell(context.Background(), ref, index, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustJSON(t, base)
-	rec := &memCkpt{}
-	full, err := RunCell(context.Background(), spec, index, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := mustJSON(t, full); !bytes.Equal(got, want) {
-		t.Fatalf("uninterrupted session run differs from reference:\n got %s\nwant %s", got, want)
-	}
-	if len(rec.saves) == 0 {
-		t.Fatalf("no checkpoints taken over %d rounds", full.Rounds)
-	}
-	for si, save := range rec.saves {
-		resumed, err := RunCell(context.Background(), spec, index, &memCkpt{loaded: save})
+	for _, index := range []int{0, spec.NumCells() - 1} {
+		base, err := RunCell(context.Background(), ref, index, nil)
 		if err != nil {
-			t.Fatalf("resume from save %d: %v", si, err)
+			t.Fatal(err)
 		}
-		if got := mustJSON(t, resumed); !bytes.Equal(got, want) {
-			t.Errorf("resume from save %d differs from reference:\n got %s\nwant %s", si, got, want)
+		want := mustJSON(t, base)
+		rec := &memCkpt{}
+		full, err := RunCell(context.Background(), spec, index, rec)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got := mustJSON(t, full); !bytes.Equal(got, want) {
+			t.Fatalf("cell %d: uninterrupted session run differs from reference:\n got %s\nwant %s", index, got, want)
+		}
+		if len(rec.saves) == 0 {
+			t.Fatalf("cell %d: no checkpoints taken over %d rounds", index, full.Rounds)
+		}
+		for si, save := range rec.saves {
+			resumed, err := RunCell(context.Background(), spec, index, &memCkpt{loaded: save})
+			if err != nil {
+				t.Fatalf("cell %d: resume from save %d: %v", index, si, err)
+			}
+			if got := mustJSON(t, resumed); !bytes.Equal(got, want) {
+				t.Errorf("cell %d: resume from save %d differs from reference:\n got %s\nwant %s", index, si, got, want)
+			}
+		}
+	}
+}
+
+// Restoring a checkpoint into a live cell must drop the round memo: a
+// static cell whose memo holds a post-death Result, rewound to a
+// pre-death checkpoint, has to recompute on the restored graph and
+// still finish byte-identical to the reference.
+func TestRestoreDropsRoundMemo(t *testing.T) {
+	spec := matrixSpec(grid.Mesh2D4)
+	spec.Strategies = []Strategy{Static}
+	spec.PFail = nil
+	ref := spec
+	ref.Reference = true
+	want, err := RunCell(context.Background(), ref, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := newCellState(spec, spec.CellAt(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.round(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := st.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st.deadN == 0 || st.last == nil {
+		if st.stopped() {
+			t.Fatalf("no memo armed after a death in %d rounds", st.rep.Rounds)
+		}
+		if err := st.round(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	for !st.stopped() {
+		if err := st.round(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := mustJSON(t, st.finish()); !bytes.Equal(got, mustJSON(t, want)) {
+		t.Errorf("restored cell differs from reference:\n got %s\nwant %s", got, mustJSON(t, want))
 	}
 }
 

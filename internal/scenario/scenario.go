@@ -142,14 +142,6 @@ type Scenario struct {
 	// the lifetime job kind, or wsnlife) rather than the scenario
 	// runner, and does not combine with the other study sections.
 	Lifetime *LifetimeSpec `json:"lifetime,omitempty"`
-
-	// LifetimeNoDelta forces full per-round session runs instead of the
-	// default incremental delta propagation (the `wsnlife -no-delta`
-	// escape hatch). Runtime-only and deliberately excluded from the
-	// document (json:"-"): the delta path is byte-identical by
-	// contract, so the toggle must never enter the canonical form or
-	// the result-cache identity.
-	LifetimeNoDelta bool `json:"-"`
 }
 
 // RunReport is one broadcast's metrics.
@@ -689,7 +681,6 @@ func (s Scenario) lifeSpec(workers int, g sweep.Gauge) (life.Spec, error) {
 		BurnInRounds: l.BurnInRounds,
 		Workers:      workers,
 		Gauge:        g,
-		NoDelta:      s.LifetimeNoDelta,
 	}, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wsnbcast/internal/jobs"
-	"wsnbcast/internal/life"
 	"wsnbcast/internal/store"
 )
 
@@ -92,11 +91,6 @@ type snapshot struct {
 	SweepPending   int64                        `json:"sweep_pending"`
 	Executions     uint64                       `json:"executions"`
 	Shed           uint64                       `json:"shed"`
-	// LifeDeltaHits / LifeDeltaFallbacks count lifetime rounds served
-	// from the incremental delta cone versus full engine runs,
-	// process-wide (internal/life keeps the totals).
-	LifeDeltaHits      uint64 `json:"life_delta_hits"`
-	LifeDeltaFallbacks uint64 `json:"life_delta_fallbacks"`
 	// Store holds the durable result store's counters when one is
 	// configured; Jobs holds the async job subsystem's counters and
 	// gauges.
@@ -117,7 +111,6 @@ func (m *metrics) Snapshot() snapshot {
 		Executions:   m.executions.Load(),
 		Shed:         m.shed.Load(),
 	}
-	s.LifeDeltaHits, s.LifeDeltaFallbacks = life.DeltaTotals()
 	m.mu.Lock()
 	for ep, byStatus := range m.requests {
 		out := make(map[string]uint64, len(byStatus))

@@ -35,9 +35,6 @@ func (b bitset) set(i int32) { b[i>>6] |= 1 << (uint32(i) & 63) }
 // unset clears bit i.
 func (b bitset) unset(i int32) { b[i>>6] &^= 1 << (uint32(i) & 63) }
 
-// flip toggles bit i.
-func (b bitset) flip(i int32) { b[i>>6] ^= 1 << (uint32(i) & 63) }
-
 // count returns the number of set bits.
 func (b bitset) count() int {
 	n := 0

@@ -263,7 +263,6 @@ func runLoop(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*engine, 
 func (e *engine) runSchedule() error {
 	inj := e.injPlan[:0]
 	defer func() { e.injPlan = inj[:0] }() // retain grown capacity
-	e.usedAppendRepair = false
 	resume := 0
 	for round := 0; ; round++ {
 		if round == 0 {
@@ -274,20 +273,11 @@ func (e *engine) runSchedule() error {
 		if err := e.drain(resume); err != nil {
 			return err
 		}
-		if e.onReplay != nil {
-			// Snapshot hook for the session delta cache: called once per
-			// completed replay with the injection set the replay ran with,
-			// before the termination checks decide whether it was final.
-			e.onReplay(inj)
-		}
 		if e.cfg.DisableRepair || !e.anyMissing() {
 			return nil
 		}
 		if round >= e.cfg.MaxPlanRounds {
-			// Fallback: serialized repairs after all other activity. These
-			// mutate state past the last replay snapshot, so delta captures
-			// of this run are discarded (usedAppendRepair).
-			e.usedAppendRepair = true
+			// Fallback: serialized repairs after all other activity.
 			return e.appendRepair()
 		}
 		newFrom := len(inj)
@@ -461,14 +451,6 @@ type engine struct {
 	outstanding int
 	last        int // highest slot processed with activity
 	res         Result
-
-	// onReplay, when set, is invoked after each completed schedule
-	// replay with the injection set that replay ran with. The session
-	// delta cache uses it to snapshot per-replay state. usedAppendRepair
-	// records that the serialized-repair fallback ran after the last
-	// replay, so snapshots of this run are stale and must be dropped.
-	onReplay         func(inj []injection)
-	usedAppendRepair bool
 }
 
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
@@ -507,7 +489,6 @@ func (e *engine) release() {
 	e.ix = nil
 	e.nbr = nil
 	e.down = nil
-	e.onReplay = nil
 	enginePool.Put(e)
 }
 

@@ -48,42 +48,6 @@ func PlanCacheHas(t grid.Topology, p Protocol, src grid.Coord) bool {
 	return ok
 }
 
-// SetDeltaSeedDivForTest overrides the delta path's seed-overflow
-// divisor (seed cap = 64 + links/div): a huge value forces the
-// seed_overflow fallback on any mutation batch at small sizes.
-// Note the cap formula: raising div SHRINKS the cap.
-func SetDeltaSeedDivForTest(n int) (restore func()) {
-	old := deltaSeedDiv
-	deltaSeedDiv = n
-	return func() { deltaSeedDiv = old }
-}
-
-// SetDeltaEventBudgetForTest overrides the cone-walk event budget
-// (budget = floor + v/div). A deeply negative floor forces the
-// event_budget fallback on the first event.
-func SetDeltaEventBudgetForTest(floor, div int) (restore func()) {
-	oldFloor, oldDiv := deltaEventFloor, deltaEventDiv
-	deltaEventFloor, deltaEventDiv = floor, div
-	return func() { deltaEventFloor, deltaEventDiv = oldFloor, oldDiv }
-}
-
-// DeltaCacheValidForTest reports whether the session currently holds
-// an armed delta cache (replay snapshots it would splice from).
-func (s *Session) DeltaCacheValidForTest() bool { return s.dcache.valid }
-
-// SetDeltaSuppressForTest shrinks the overload latch's suppression
-// window so tests can watch it engage, expire, and back off without
-// hundreds of rounds.
-func SetDeltaSuppressForTest(min, max int) (restore func()) {
-	oldMin, oldMax := deltaSuppressMin, deltaSuppressMax
-	deltaSuppressMin, deltaSuppressMax = min, max
-	return func() { deltaSuppressMin, deltaSuppressMax = oldMin, oldMax }
-}
-
-// DeltaSuppressedForTest reports whether the overload latch is
-// currently holding the session on the plain path.
-func (s *Session) DeltaSuppressedForTest() bool { return s.dcache.suppress > 0 }
-
 // EffectiveWorkersForTest exposes the Config.Workers resolution rule.
 func EffectiveWorkersForTest(cfgWorkers, v int) int { return effectiveWorkers(cfgWorkers, v) }
 

@@ -11,7 +11,6 @@ package sim_test
 // some resumed rounds.
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -133,18 +132,13 @@ func TestResumeAppendRepairFallback(t *testing.T) {
 	}
 }
 
-// TestResumeSessionChurn drives a churned mutation sequence through two
-// flooding sessions — one on Run, one on RunDelta — and requires both
-// to match one-shot sim.Run after every step, with resumed replays on
-// the session path.
+// TestResumeSessionChurn drives a churned mutation sequence through a
+// flooding session and requires it to match one-shot sim.Run after
+// every step, with resumed replays on the session path.
 func TestResumeSessionChurn(t *testing.T) {
 	topo := grid.NewMesh2D4(16, 16)
 	p := core.NewFlooding()
 	h := newSessionHarness(t, topo, p, sim.Config{})
-	deltaSess, err := sim.NewSession(topo, p, sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	nl := len(h.links)
 	rng := uint64(2024)
 	next := func(n int) int {
@@ -158,22 +152,13 @@ func TestResumeSessionChurn(t *testing.T) {
 			id := next(nl)
 			if h.cut[id] {
 				h.linkUp(id)
-				if err := deltaSess.SetLinkUp(id); err != nil {
-					t.Fatal(err)
-				}
 			} else {
 				h.linkDown(id)
-				if err := deltaSess.SetLinkDown(id); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 		if step%4 == 3 {
 			if i := next(topo.NumNodes()); i != topo.NumNodes()/2 && !h.down[i] {
 				h.nodeDown(i)
-				if err := deltaSess.SetNodeDown(i); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 		before := sim.ResumedReplaysForTest()
@@ -184,17 +169,6 @@ func TestResumeSessionChurn(t *testing.T) {
 		// check reruns the session and compares it (and its trace) with
 		// one-shot sim.Run.
 		h.check(src, "churn step")
-		want, err := sim.Run(topo, p, src, h.oneShotConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := deltaSess.RunDelta(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gj, wj := mustResultJSON(t, got), mustResultJSON(t, want); !bytes.Equal(gj, wj) {
-			t.Fatalf("step %d: RunDelta differs from sim.Run:\n got %s\nwant %s", step, gj, wj)
-		}
 	}
 	if resumed == 0 {
 		t.Fatal("no session replay resumed at S > 0 under churn")

@@ -85,14 +85,6 @@ type Session struct {
 
 	res   Result
 	arena resultArena
-
-	// Delta-propagation state (delta.go): the previous round's full
-	// propagation artifacts plus the mutation seeds accumulated since,
-	// and the scratch arena RunDelta's cone walk runs in.
-	dcache    deltaCache
-	dx        deltaScratch
-	deltaHits uint64
-	deltaFall [fbCount]uint64
 }
 
 // NewSession validates the configuration once and builds the pristine
@@ -173,7 +165,6 @@ func (s *Session) SetNodeDown(i int) error {
 		s.adj[nb] = removeNeighbor(s.adj[nb], int32(i))
 	}
 	s.adj[i] = nil
-	s.noteDeath(int32(i))
 	return nil
 }
 
@@ -191,7 +182,6 @@ func (s *Session) SetLinkDown(id int) error {
 	lk := s.links[id]
 	s.adj[lk.A] = removeNeighbor(s.adj[lk.A], lk.B)
 	s.adj[lk.B] = removeNeighbor(s.adj[lk.B], lk.A)
-	s.noteFlip(int32(id))
 	return nil
 }
 
@@ -212,7 +202,6 @@ func (s *Session) SetLinkUp(id int) error {
 	lk := s.links[id]
 	s.rebuildRow(lk.A)
 	s.rebuildRow(lk.B)
-	s.noteFlip(int32(id))
 	return nil
 }
 
@@ -297,10 +286,6 @@ func (s *Session) Reset() {
 	if s.linkDown != nil {
 		clear(s.linkDown)
 	}
-	s.invalidateCache()
-	// A Reset starts a fresh study state; overload history from the
-	// previous one has no bearing on it.
-	s.dcache.overloads, s.dcache.suppress, s.dcache.suppressLen = 0, 0, 0
 }
 
 // Run simulates one broadcast from src on the session's current live
@@ -310,55 +295,26 @@ func (s *Session) Reset() {
 // exactly; only the setup cost differs. The Result is valid until the
 // next Run, Reset, or mutation.
 func (s *Session) Run(src grid.Coord) (*Result, error) {
-	if err := s.validateSource(src); err != nil {
-		return nil, err
-	}
-	return s.runPlain(src)
-}
-
-// validateSource applies Run's source checks, shared with RunDelta so
-// both entry points return identical errors.
-func (s *Session) validateSource(src grid.Coord) error {
 	if !s.topo.Contains(src) {
-		return fmt.Errorf("sim: source %s outside %s mesh", src, s.topo.Kind())
+		return nil, fmt.Errorf("sim: source %s outside %s mesh", src, s.topo.Kind())
 	}
-	if s.down != nil && s.down[s.topo.Index(src)] {
-		return fmt.Errorf("sim: source %s is down", src)
+	srcIdx := int32(s.topo.Index(src))
+	if s.down != nil && s.down[srcIdx] {
+		return nil, fmt.Errorf("sim: source %s is down", src)
 	}
-	return nil
-}
-
-// planOf returns the session-cached compiled plan for src.
-func (s *Session) planOf(src grid.Coord, srcIdx int32) *relayPlan {
 	pl := s.plans[srcIdx]
 	if pl == nil {
 		pl = planFor(s.topo, s.proto, src)
 		s.plans[srcIdx] = pl
 	}
-	return pl
-}
-
-// runDown returns the down mask the engine should be bound with:
-// sim.Run binds a nil mask when Config.Down is empty; mirroring that
-// keeps the engine's nil-vs-allocated branches — and the Result's
-// downMask — identical while every node is alive.
-func (s *Session) runDown() []bool {
-	if s.downN == 0 {
-		return nil
+	// sim.Run binds a nil down mask when Config.Down is empty; mirroring
+	// that keeps the engine's nil-vs-allocated branches — and the
+	// Result's downMask — identical while every node is alive.
+	var down []bool
+	if s.downN > 0 {
+		down = s.down
 	}
-	return s.down
-}
-
-// runPlain is the full, non-capturing simulation path: exactly the
-// pre-delta Session.Run body. It invalidates the cached Result bytes
-// (s.res is about to be overwritten) but leaves the delta cache's
-// replay snapshots alone — a RunDelta for the cached source can still
-// re-engage afterwards because mutation seeds keep accumulating.
-func (s *Session) runPlain(src grid.Coord) (*Result, error) {
-	srcIdx := int32(s.topo.Index(src))
-	pl := s.planOf(src, srcIdx)
-	s.dcache.resValid = false
-	e := getEngine(s.topo, s.proto, pl, src, s.cfg, nil, s.adj, s.runDown())
+	e := getEngine(s.topo, s.proto, pl, src, s.cfg, nil, s.adj, down)
 	defer e.release()
 	if err := e.runSchedule(); err != nil {
 		return nil, err

@@ -307,6 +307,49 @@ func TestSessionMutationIdempotence(t *testing.T) {
 	}
 }
 
+// SetLinkUp on a link whose endpoint node is already down must keep
+// the dead node's row empty while restoring the live endpoint's view.
+func TestSessionLinkUpWithDeadEndpoint(t *testing.T) {
+	topo := grid.NewMesh2D4(8, 8)
+	h := newSessionHarness(t, topo, core.ForTopology(grid.Mesh2D4), sim.Config{})
+	src := topo.At(topo.NumNodes() / 2)
+	// Find a link incident to node 9, kill node 9, then cut and restore
+	// that link between runs.
+	var id int = -1
+	for i, lk := range h.links {
+		if lk.A == 9 || lk.B == 9 {
+			id = i
+			break
+		}
+	}
+	if id < 0 {
+		t.Fatal("node 9 has no links")
+	}
+	h.nodeDown(9)
+	h.check(src, "dead endpoint")
+	h.linkDown(id)
+	h.check(src, "cut link on dead endpoint")
+	h.linkUp(id)
+	h.check(src, "restored link on dead endpoint")
+}
+
+// Repeated SetNodeDown of the same node across runs is a no-op after
+// the first call: no byte drift.
+func TestSessionRepeatedNodeDown(t *testing.T) {
+	topo := grid.NewMesh2D4(8, 8)
+	h := newSessionHarness(t, topo, core.ForTopology(grid.Mesh2D4), sim.Config{})
+	src := topo.At(topo.NumNodes() / 2)
+	h.check(src, "pristine")
+	h.nodeDown(12)
+	h.check(src, "first death")
+	for i := 0; i < 3; i++ {
+		if err := h.sess.SetNodeDown(12); err != nil {
+			t.Fatal(err)
+		}
+		h.check(src, "repeated death")
+	}
+}
+
 // Error cases mirror sim.Run: bad source coordinates, a down source,
 // out-of-range mutation targets, and owned config fields.
 func TestSessionErrors(t *testing.T) {

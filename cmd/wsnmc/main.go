@@ -5,9 +5,8 @@
 // delay, energy and transmissions as mean ± 95% CI over the loss
 // rates — and optionally writes every replication as one JSON line.
 //
-// Replications run through the lockstep lane engine, up to 64 per
-// machine word; identical seeds produce byte-identical output at any
-// -workers or -lanes value.
+// Every replication is one seeded sim.Run; identical seeds produce
+// byte-identical output at any -workers value.
 //
 // Usage:
 //
@@ -55,7 +54,6 @@ type options struct {
 	loss          string
 	failure       string
 	workers       int
-	lanes         int
 	disableRepair bool
 	jsonl         string
 	storeDir      string
@@ -76,7 +74,6 @@ func main() {
 	flag.StringVar(&o.loss, "loss", "0,0.05,0.1,0.2", "comma-separated loss rates in [0, 1]")
 	flag.StringVar(&o.failure, "failure", "0", "comma-separated failure rates in [0, 1]")
 	flag.IntVar(&o.workers, "workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-	flag.IntVar(&o.lanes, "lanes", 0, "lockstep lane batch width, 1-64 (0 = full 64-lane words)")
 	flag.BoolVar(&o.disableRepair, "disable-repair", false, "turn off the scheduler's repair pass")
 	flag.StringVar(&o.jsonl, "jsonl", "", "write per-replication records to this file as JSON lines")
 	flag.StringVar(&o.storeDir, "store", "", "durable result store directory shared with wsnserved (serves repeats without simulating; incompatible with -jsonl)")
@@ -193,9 +190,6 @@ func run(o options, w io.Writer) error {
 	if o.workers < 0 {
 		return fmt.Errorf("invalid -workers %d: must be >= 0 (0 means GOMAXPROCS)", o.workers)
 	}
-	if o.lanes < 0 || o.lanes > 64 {
-		return fmt.Errorf("invalid -lanes %d: must be 0-64 (0 means full 64-lane words)", o.lanes)
-	}
 	topo, err := topology(o)
 	if err != nil {
 		return err
@@ -231,7 +225,6 @@ func run(o options, w io.Writer) error {
 		LossRates:    lossRates,
 		FailureRates: failRates,
 		Workers:      o.workers,
-		Lanes:        o.lanes,
 	})
 	if err != nil {
 		return err

@@ -58,30 +58,6 @@ func TestStudyWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// The report must also be byte-identical at every -lanes width: batch
-// boundaries are invisible in the output, so narrowing the lockstep
-// word can never shift an estimate.
-func TestStudyLanesByteIdentical(t *testing.T) {
-	o := study(2)
-	o.disableRepair = false
-	o.loss, o.failure = "0,0.15", "0,0.1"
-	var want string
-	for _, lanes := range []int{1, 3, 64, 0} {
-		o.lanes = lanes
-		var buf bytes.Buffer
-		if err := run(o, &buf); err != nil {
-			t.Fatalf("lanes=%d: %v", lanes, err)
-		}
-		if lanes == 1 {
-			want = buf.String()
-			continue
-		}
-		if buf.String() != want {
-			t.Errorf("lanes=%d output differs from lanes=1", lanes)
-		}
-	}
-}
-
 func TestJSONLRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	o := study(0)
@@ -128,8 +104,6 @@ func TestFlagValidation(t *testing.T) {
 		"zero reps":        {func(o *options) { o.reps = 0 }, "-reps"},
 		"negative reps":    {func(o *options) { o.reps = -3 }, "-reps"},
 		"negative workers": {func(o *options) { o.workers = -1 }, "-workers"},
-		"negative lanes":   {func(o *options) { o.lanes = -1 }, "-lanes"},
-		"lanes above 64":   {func(o *options) { o.lanes = 65 }, "-lanes"},
 		"bad topo":         {func(o *options) { o.topo = "hex" }, "unknown topology"},
 		"bad proto":        {func(o *options) { o.proto = "gossip" }, "unknown protocol"},
 		"loss above one":   {func(o *options) { o.loss = "0,1.5" }, "outside [0, 1]"},

@@ -44,32 +44,6 @@ func BenchmarkMCReliability(b *testing.B) {
 	}
 }
 
-// BenchmarkMCLockstep saturates the lockstep lane engine: 130
-// replications per grid point fill two 64-lane words plus a 2-lane
-// tail every point, so the figure tracks the engine's bit-parallel
-// throughput including the ragged-batch edge the width tests pin.
-func BenchmarkMCLockstep(b *testing.B) {
-	topo := grid.NewMesh2D4(16, 8)
-	spec := mc.Spec{
-		Topology:     topo,
-		Protocol:     core.ForTopology(grid.Mesh2D4),
-		Source:       grid.C2(8, 4),
-		Config:       sim.Config{},
-		Seed:         1,
-		Replications: 130,
-		LossRates:    []float64{0, 0.05, 0.1},
-		FailureRates: []float64{0, 0.1},
-		Workers:      1,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mc.Run(context.Background(), spec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMCReliabilityCanonical runs a smaller-replication study on
 // the canonical 512-node 2D-4 mesh — the per-replication cost at the
 // paper's evaluation scale.

@@ -40,10 +40,9 @@ func TestChurnUnitRange(t *testing.T) {
 	}
 }
 
-// FuzzChurnDomainDisjoint pins the keyspace separation alongside
-// FuzzLaneLossMask: for any coordinates the fuzzer invents, the churn
-// draw never equals the loss or failure draw of the same seed. The
-// chains share their absorbed prefix (seed), then absorb distinct
+// FuzzChurnDomainDisjoint pins the keyspace separation: for any
+// coordinates the fuzzer invents, the churn draw never equals the loss
+// or failure draw of the same seed. The chains share their absorbed prefix (seed), then absorb distinct
 // domain words; mix64 is invertible, so distinct domains give distinct
 // chain states from that word on, and every draw downstream differs —
 // this fuzz target is the empirical check of that argument.

@@ -250,3 +250,19 @@ func TestPerNodeEnergyDenseIndexing(t *testing.T) {
 		t.Error("source spent nothing")
 	}
 }
+
+// Replication seeds within a study must be collision-free: two
+// replications sharing a seed would share every uniform and silently
+// halve the effective sample size of every estimate.
+func TestReplicationSeedCollisionFree(t *testing.T) {
+	for _, study := range []uint64{0, 1, 0xdeadbeefcafe} {
+		seen := make(map[uint64]int, 1<<16)
+		for r := 0; r < 1<<16; r++ {
+			s := ReplicationSeed(study, r)
+			if prev, dup := seen[s]; dup {
+				t.Fatalf("study %#x: replications %d and %d share seed %#x", study, prev, r, s)
+			}
+			seen[s] = r
+		}
+	}
+}

@@ -39,17 +39,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += d * (x - r.mean)
 }
 
-// AddAll accumulates the observations in order, exactly equivalent to
-// calling Add on each: the Monte Carlo layer gathers one grid point's
-// per-lane samples into a slice and folds them in with one call, and
-// because the fold order is the slice order the running moments stay
-// byte-identical to the per-replication loop they replaced.
-func (r *Running) AddAll(xs ...float64) {
-	for _, x := range xs {
-		r.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (r *Running) N() int { return r.n }
 

@@ -67,31 +67,6 @@ func TestRunningSampleMoments(t *testing.T) {
 	}
 }
 
-// AddAll must be bit-identical to the Add loop it replaces: running
-// moments are fold-order sensitive, so the Monte Carlo layer's batch
-// fold may not deviate from per-replication accumulation by even an
-// ulp. Running is a comparable value type, so equality is exact.
-func TestAddAllMatchesAddLoop(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	xs := make([]float64, 257)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 100
-	}
-	var loop, batch Running
-	for _, x := range xs {
-		loop.Add(x)
-	}
-	batch.AddAll(xs...)
-	if loop != batch {
-		t.Errorf("AddAll diverges from the Add loop: %v vs %v", batch, loop)
-	}
-	var empty Running
-	empty.AddAll()
-	if empty != (Running{}) {
-		t.Error("AddAll with no observations mutated the accumulator")
-	}
-}
-
 // Welford must agree with the two-pass formula.
 func TestRunningMatchesTwoPass(t *testing.T) {
 	f := func(seed int64) bool {

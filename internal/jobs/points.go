@@ -159,12 +159,7 @@ func executePoint(ctx context.Context, kind string, sc scenario.Scenario, pl pla
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(scenario.RunReport{
-			Source: scenario.Point{X: src.X, Y: src.Y, Z: src.Z},
-			Tx:     r.Tx, Rx: r.Rx, EnergyJ: r.EnergyJ, Delay: r.Delay,
-			Reached: r.Reached, Total: r.Total, Collisions: r.Collisions,
-			Duplicates: r.Duplicates, Repairs: r.Repairs,
-		})
+		return json.Marshal(scenario.NewRunReport(scenario.Point{X: src.X, Y: src.Y, Z: src.Z}, r))
 
 	case shapeReliability:
 		topo, p, cfg, err := sc.Compile()
@@ -179,11 +174,7 @@ func executePoint(ctx context.Context, kind string, sc scenario.Scenario, pl pla
 			if err != nil {
 				return nil, err
 			}
-			return json.Marshal(scenario.RunReport{
-				Source: src, Tx: r.Tx, Rx: r.Rx, EnergyJ: r.EnergyJ, Delay: r.Delay,
-				Reached: r.Reached, Total: r.Total, Collisions: r.Collisions,
-				Duplicates: r.Duplicates, Repairs: r.Repairs,
-			})
+			return json.Marshal(scenario.NewRunReport(src, r))
 		}
 		g := index - 1
 		if g >= len(pl.loss)*len(pl.fail) {

@@ -1,7 +1,7 @@
 package sweep_test
 
-// RunFuncs is the transport under the Monte Carlo engine's lockstep
-// lane batches: tasks write into caller-owned slots, so these tests pin
+// RunFuncs is the transport under Run and the Monte Carlo engine's
+// replications: tasks write into caller-owned slots, so these tests pin
 // the slot discipline — per-task error isolation, exhaustion before
 // return, and context errors landing only in the slots of tasks that
 // never ran.
@@ -24,7 +24,7 @@ func TestRunFuncsEmpty(t *testing.T) {
 
 // Every task runs exactly once, each error stays in its own slot, and
 // task failures never abort the batch — the invariants the Monte Carlo
-// layer relies on when a lane batch falls back to scalar replication.
+// layer relies on to report the first failed replication in order.
 func TestRunFuncsErrorIsolation(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 3, 16} {

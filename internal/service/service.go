@@ -447,10 +447,10 @@ func (s *Server) checkLimits(sc scenario.Scenario) (int, string) {
 	if rel := sc.Reliability; rel != nil {
 		// The grids are canonical here, so the product is the exact
 		// number of simulation jobs the study would admit.
-		jobs := rel.Replications * len(rel.LossRates) * len(rel.FailureRates)
-		if jobs > s.cfg.MaxReliabilityJobs {
+		if !withinLimit(s.cfg.MaxReliabilityJobs, rel.Replications, len(rel.LossRates), len(rel.FailureRates)) {
 			return http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("reliability study too large: %d simulation jobs (limit %d)", jobs, s.cfg.MaxReliabilityJobs)
+				fmt.Sprintf("reliability study too large: %d replications x %d loss rates x %d failure rates (limit %d simulation jobs)",
+					rel.Replications, len(rel.LossRates), len(rel.FailureRates), s.cfg.MaxReliabilityJobs)
 		}
 	}
 	if sc.Lifetime != nil {
@@ -465,13 +465,27 @@ func (s *Server) checkLimits(sc scenario.Scenario) (int, string) {
 		if err != nil {
 			return http.StatusBadRequest, err.Error()
 		}
-		if total := cells * rounds; total > s.cfg.MaxLifetimeRounds {
+		if !withinLimit(s.cfg.MaxLifetimeRounds, cells, rounds) {
 			return http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("lifetime study too large: %d cells x %d rounds = %d broadcasts (limit %d)",
-					cells, rounds, total, s.cfg.MaxLifetimeRounds)
+				fmt.Sprintf("lifetime study too large: %d cells x %d rounds (limit %d broadcasts)",
+					cells, rounds, s.cfg.MaxLifetimeRounds)
 		}
 	}
 	return 0, ""
+}
+
+// withinLimit reports whether the product of non-negative factors is
+// at most limit. It divides the limit by each factor rather than
+// multiplying the factors, so no product can wrap past the limit; a
+// negative factor fails closed.
+func withinLimit(limit int, factors ...int) bool {
+	for _, f := range factors {
+		if f <= 0 {
+			return f == 0
+		}
+		limit /= f
+	}
+	return limit >= 1
 }
 
 // requestTimeout resolves the per-request deadline: ?timeout_ms=

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"wsnbcast/internal/core"
@@ -70,6 +71,11 @@ func TestCellLayout(t *testing.T) {
 	spec := testSpec()
 	if got, want := spec.NumCells(), 3*2*2; got != want {
 		t.Fatalf("NumCells = %d, want %d", got, want)
+	}
+	huge := spec
+	huge.Replications = 1 << 62 // 3 x 2 x 2^62 wraps a 64-bit int
+	if got := huge.NumCells(); got != math.MaxInt {
+		t.Errorf("NumCells with 2^62 replications = %d, want math.MaxInt", got)
 	}
 	c0 := spec.CellAt(0)
 	if c0.Strategy != Static || c0.PFail != 0 || c0.Rep != 0 {

@@ -42,9 +42,9 @@ bench-engine:
 	$(GO) test ./internal/life -run='^$$' -bench=. -benchmem | tee -a bench/current.txt
 
 # Large-grid scaling suite (64^2 to 1024^2 plus 128^3): the implicit
-# fast path at Workers=1 and auto, the forced materialized path, the
-# preserved reference engine, and the engine-loop-only measurement that
-# isolates steady-state arena allocation from the Result arrays. Low
+# fast path, the forced materialized path, the preserved reference
+# engine, and the engine-loop-only measurement that isolates
+# steady-state arena allocation from the Result arrays. Low
 # fixed iteration count — single iterations of the biggest meshes are
 # already statistically quiet, and the materialized 128^3 run costs
 # seconds per op.
@@ -92,7 +92,9 @@ vet:
 # If a build tag (or a rename) ever drops them from the test binaries,
 # verify fails before running anything rather than passing vacuously,
 # because the race target below is what runs them under the race
-# detector.
+# detector. TestLargeGridDifferential is the only at-scale check of
+# sim.Run against the test-only reference engine; the race target
+# skips it, so the plain test target is its only run.
 session-guard:
 	@$(GO) test ./internal/sim -run='^$$' -list='^TestSessionDifferentialAllKinds$$' | grep -q '^TestSessionDifferentialAllKinds$$' || \
 		{ echo "verify: TestSessionDifferentialAllKinds missing from internal/sim"; exit 1; }
@@ -100,13 +102,25 @@ session-guard:
 		{ echo "verify: TestSessionDifferentialMatrix missing from internal/life"; exit 1; }
 	@$(GO) test ./internal/life -run='^$$' -list='^TestSessionCheckpointResumeMatchesReference$$' | grep -q '^TestSessionCheckpointResumeMatchesReference$$' || \
 		{ echo "verify: TestSessionCheckpointResumeMatchesReference missing from internal/life"; exit 1; }
+	@$(GO) test ./internal/sim -run='^$$' -list='^TestLargeGridDifferential$$' | grep -q '^TestLargeGridDifferential$$' || \
+		{ echo "verify: TestLargeGridDifferential missing from internal/sim"; exit 1; }
 
-# Short fuzz smoke over the counter-based randomness layer — the
-# corpus seeds plus a few seconds of mutation; CI runs this on every
-# push. The churn target proves the lifetime engine's churn draws
-# never collide with the loss/failure/replication key domains.
+# Short fuzz smoke — the corpus seeds plus a few seconds of mutation
+# per target; CI runs this on every push. go test -fuzz takes one
+# target per invocation. The churn target proves the lifetime engine's
+# churn draws never collide with the loss/failure/replication key
+# domains; the core targets check every paper protocol reaches every
+# node of fuzzed mesh sizes and sources, and that the protocols are
+# pure functions of their inputs; the scenario target checks the
+# document decoder never panics, canonical identities are stable, and
+# Compile stays prompt inside the service's node cap.
+FUZZ_CORE = FuzzMesh4Reachability FuzzMesh8Reachability FuzzMesh3Reachability FuzzMesh3D6Reachability FuzzProtocolPurity
 fuzz-smoke:
-	$(GO) test ./internal/sim -run='^$$' -fuzz=FuzzChurnDomainDisjoint -fuzztime=5s
+	$(GO) test ./internal/sim -run='^$$' -fuzz='^FuzzChurnDomainDisjoint$$' -fuzztime=5s
+	for t in $(FUZZ_CORE); do \
+		$(GO) test ./internal/core -run='^$$' -fuzz="^$$t\$$" -fuzztime=3s || exit 1; \
+	done
+	$(GO) test ./internal/scenario -run='^$$' -fuzz='^FuzzScenarioDecode$$' -fuzztime=5s
 
 verify: session-guard build vet test race
 

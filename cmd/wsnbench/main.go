@@ -15,13 +15,7 @@
 // quick way to measure a mesh size on the current machine:
 //
 //	wsnbench -scale -kind 2D-8 -m 1024 -n 1024            # million nodes
-//	wsnbench -scale -kind 3D-6 -m 128 -n 128 -l 128 -runworkers 4
-//
-// -runworkers sets sim.Config.Workers for the run: 0 (default)
-// auto-selects — serial below the engine's large-grid threshold,
-// min(GOMAXPROCS, 8) shard workers above it; 1 pins the serial path;
-// higher values set the shard pool explicitly. Results are
-// byte-identical for every value.
+//	wsnbench -scale -kind 3D-6 -m 128 -n 128 -l 128
 package main
 
 import (
@@ -45,7 +39,6 @@ func main() {
 	mDim := flag.Int("m", 1024, "-scale: mesh width")
 	nDim := flag.Int("n", 1024, "-scale: mesh height")
 	lDim := flag.Int("l", 1, "-scale: mesh depth (3D-6 only)")
-	runWorkers := flag.Int("runworkers", 0, "-scale: sim.Config.Workers (0 = auto, 1 = serial pin)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -57,7 +50,7 @@ func main() {
 	}
 	var runErr error
 	if *scale {
-		runErr = runScale(*kind, *mDim, *nDim, *lDim, *runWorkers)
+		runErr = runScale(*kind, *mDim, *nDim, *lDim)
 	} else {
 		runErr = run(*tableN, *ablations, *extensions, *markdown, *workers)
 	}

@@ -97,18 +97,16 @@ func TestRejectsNegativeWorkers(t *testing.T) {
 }
 
 // TestRunScale exercises the large-grid one-shot mode on a mesh small
-// enough for CI, for both the serial pin and an explicit shard pool.
+// enough for CI.
 func TestRunScale(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		out, err := capture(t, func() error { return runScale("2D-8", 64, 64, 1, workers) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(out, "4096 nodes") || !strings.Contains(out, "reached   4096/4096") {
-			t.Errorf("workers=%d scale output:\n%s", workers, out)
-		}
+	out, err := capture(t, func() error { return runScale("2D-8", 64, 64, 1) })
+	if err != nil {
+		t.Fatal(err)
 	}
-	out, err := capture(t, func() error { return runScale("3D-6", 8, 8, 8, 0) })
+	if !strings.Contains(out, "4096 nodes") || !strings.Contains(out, "reached   4096/4096") {
+		t.Errorf("2D-8 scale output:\n%s", out)
+	}
+	out, err = capture(t, func() error { return runScale("3D-6", 8, 8, 8) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +116,13 @@ func TestRunScale(t *testing.T) {
 }
 
 func TestRunScaleRejectsBadInput(t *testing.T) {
-	if err := runScale("2D-9", 8, 8, 1, 0); err == nil || !strings.Contains(err.Error(), "-kind") {
+	if err := runScale("2D-9", 8, 8, 1); err == nil || !strings.Contains(err.Error(), "-kind") {
 		t.Errorf("bad kind: %v", err)
 	}
-	if err := runScale("2D-4", 0, 8, 1, 0); err == nil {
+	if err := runScale("2D-4", 0, 8, 1); err == nil {
 		t.Error("zero width accepted")
 	}
-	if err := runScale("2D-4", 8, 8, 3, 0); err == nil || !strings.Contains(err.Error(), "planar") {
+	if err := runScale("2D-4", 8, 8, 3); err == nil || !strings.Contains(err.Error(), "planar") {
 		t.Errorf("planar kind with depth: %v", err)
 	}
 }

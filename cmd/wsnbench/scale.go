@@ -23,7 +23,7 @@ func parseKind(s string) (grid.Kind, error) {
 // runScale executes one paper-protocol broadcast on an m x n x l mesh
 // through sim.Run — the implicit large-grid path above the engine's
 // threshold — and prints the run metrics plus wall time and heap use.
-func runScale(kindName string, m, n, l, runWorkers int) error {
+func runScale(kindName string, m, n, l int) error {
 	k, err := parseKind(kindName)
 	if err != nil {
 		return err
@@ -43,7 +43,7 @@ func runScale(kindName string, m, n, l, runWorkers int) error {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	res, err := sim.Run(topo, proto, src, sim.Config{Workers: runWorkers})
+	res, err := sim.Run(topo, proto, src, sim.Config{})
 	if err != nil {
 		return err
 	}
@@ -51,8 +51,8 @@ func runScale(kindName string, m, n, l, runWorkers int) error {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 
-	fmt.Printf("scale run: %s %dx%dx%d (%d nodes), protocol %s, workers=%d\n",
-		k, mm, nn, ll, topo.NumNodes(), proto.Name(), runWorkers)
+	fmt.Printf("scale run: %s %dx%dx%d (%d nodes), protocol %s\n",
+		k, mm, nn, ll, topo.NumNodes(), proto.Name())
 	fmt.Printf("  reached   %d/%d (down %d)\n", res.Reached, res.Total, res.Down)
 	fmt.Printf("  delay     %d slots\n", res.Delay)
 	fmt.Printf("  tx %d  rx %d  collisions %d  duplicates %d  repairs %d\n",

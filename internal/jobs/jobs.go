@@ -336,58 +336,70 @@ func (m *Manager) Recover() (int, error) {
 		if err := json.Unmarshal(raw, &rec); err != nil || rec.ID == "" {
 			continue // unreadable record: ignore rather than refuse to start
 		}
-		if err := m.recoverOne(rec); err != nil {
+		queued, err := m.recoverOne(rec)
+		if err != nil {
 			return resumed, fmt.Errorf("jobs: recover %s: %w", rec.ID, err)
 		}
-		m.mu.Lock()
-		j := m.jobs[rec.ID]
-		m.mu.Unlock()
-		if j != nil {
-			j.mu.Lock()
-			st := j.state
-			j.mu.Unlock()
-			if st == StateQueued {
-				resumed++
-			}
+		if queued {
+			resumed++
 		}
 	}
 	return resumed, nil
 }
 
-func (m *Manager) recoverOne(rec record) error {
+// recoverOne loads one record into the job table and reports whether
+// it queued the job. Reporting it here, rather than reading the job's
+// state back afterwards, keeps a dispatcher that has already picked the
+// job up from hiding it from Recover's count.
+func (m *Manager) recoverOne(rec record) (bool, error) {
 	sc, err := scenario.Load(bytes.NewReader(rec.Scenario))
-	if err != nil {
-		return err
+	loaded := err == nil
+	var pl plan
+	if loaded {
+		sc = sc.Canonical()
+		pl, err = compilePlan(rec.Kind, sc)
 	}
-	sc = sc.Canonical()
-	pl, err := compilePlan(rec.Kind, sc)
-	if err != nil {
-		return err
+	// A record written by an earlier release may hold a document that
+	// validation now rejects. Such a job can never run again, but it
+	// must not stop the server from starting: it is loaded as failed
+	// with the validation error, unless it finished and its merged
+	// result is still stored, in which case it stays done.
+	invalid := err
+	scJSON := []byte(rec.Scenario)
+	if invalid != nil {
+		pl = plan{total: max(rec.Total, 0)}
 	}
-	scJSON, err := json.Marshal(sc)
-	if err != nil {
-		return err
+	if loaded {
+		if scJSON, err = json.Marshal(sc); err != nil {
+			return false, err
+		}
 	}
 	created := time.UnixMilli(rec.CreatedMs)
 	j := &job{
 		id: rec.ID, kind: rec.Kind, sc: sc, scJSON: scJSON, pl: pl,
 		created: created, updated: time.Now(),
-		payloads: make([][]byte, pl.total),
 		subs:     make(map[int]chan Event),
 		finished: make(chan struct{}),
+	}
+	if invalid == nil {
+		j.payloads = make([][]byte, pl.total)
 	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.jobs[rec.ID]; ok {
-		return nil // already live (Submit raced Recover)
+		return false, nil // already live (Submit raced Recover)
 	}
 	switch rec.State {
 	case StateDone:
-		body, ok := m.resultFromStore(j)
+		body, ok := []byte(nil), false
+		if loaded {
+			body, ok = m.resultFromStore(j)
+		}
 		if !ok {
 			// The record says done but the result is gone (corruption
-			// healed to a miss): recompute.
+			// healed to a miss): recompute, if the document still
+			// validates.
 			break
 		}
 		j.state = StateDone
@@ -395,20 +407,29 @@ func (m *Manager) recoverOne(rec record) error {
 		j.result = body
 		close(j.finished)
 		m.jobs[rec.ID] = j
-		return nil
+		return false, nil
 	case StateFailed:
 		j.state = StateFailed
 		j.err = errors.New(rec.Error)
 		close(j.finished)
 		m.jobs[rec.ID] = j
-		return nil
+		return false, nil
+	}
+	if invalid != nil {
+		j.state = StateFailed
+		j.err = fmt.Errorf("jobs: recovered document no longer validates: %w", invalid)
+		close(j.finished)
+		m.jobs[rec.ID] = j
+		m.failed.Add(1)
+		m.persistLocked(j)
+		return false, nil
 	}
 	// Queued or running (or done-with-missing-result): scan the store
 	// for points that already finished and queue the rest.
 	for i := 0; i < pl.total; i++ {
 		key, err := pointKey(rec.Kind, sc, i)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if body, ok := m.cfg.Store.Get(key); ok {
 			j.payloads[i] = body
@@ -421,7 +442,7 @@ func (m *Manager) recoverOne(rec record) error {
 	m.persistLocked(j)
 	m.queue = append(m.queue, j)
 	m.wakeUp()
-	return nil
+	return true, nil
 }
 
 // Get returns the status of the job with the given id.

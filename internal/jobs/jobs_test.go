@@ -3,7 +3,9 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,6 +219,101 @@ func TestRestartResume(t *testing.T) {
 	}
 	if want := syncBody(t, KindSweep, sc); !bytes.Equal(got, want) {
 		t.Error("recovered result differs from synchronous body")
+	}
+}
+
+// TestRecoverInvalidRecords: a store written by an earlier release may
+// hold job records whose documents validation now rejects (down nodes
+// with a lifetime section, an irregular radius beyond the reach bound).
+// Recover must still succeed: an unfinished invalid job loads as failed
+// with the validation error, a finished one whose result is stored
+// stays done, and the valid job beside them resumes and completes.
+func TestRecoverInvalidRecords(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	defer st.Close()
+
+	downLife := lifetimeScenario()
+	downLife.Down = []scenario.Point{{X: 1, Y: 1}}
+	wide := func(seed uint64) scenario.Scenario {
+		return scenario.Scenario{
+			Topology: scenario.TopologySpec{Kind: "irregular", M: 8, N: 8, Jitter: 0.2, Radius: 5, Seed: seed},
+			Sources:  []scenario.Point{{X: 4, Y: 4}},
+		}
+	}
+	const storedResult = `{"stored":true}`
+	put := func(kind string, sc scenario.Scenario, state State, total int) string {
+		t.Helper()
+		scJSON, err := json.Marshal(sc.Canonical())
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		id := jobID(kind, scJSON)
+		rec, err := json.Marshal(record{ID: id, Kind: kind, Scenario: scJSON, State: state, Total: total, CreatedMs: 1})
+		if err != nil {
+			t.Fatalf("marshal record: %v", err)
+		}
+		if err := st.PutRecord(id, rec); err != nil {
+			t.Fatalf("put record: %v", err)
+		}
+		return id
+	}
+	lifeID := put(KindLifetime, downLife, StateRunning, 8)
+	wideQueuedID := put(KindRun, wide(1), StateQueued, 1)
+	wideDoneID := put(KindRun, wide(2), StateDone, 1)
+	key, err := resultKey(KindRun, wide(2).Canonical())
+	if err != nil {
+		t.Fatalf("result key: %v", err)
+	}
+	if err := st.Put(key, []byte(storedResult)); err != nil {
+		t.Fatalf("put result: %v", err)
+	}
+	validID := put(KindRun, runScenario(), StateQueued, 1)
+
+	m := NewManager(Config{Store: st, Workers: 2})
+	defer m.Close(context.Background())
+	resumed, err := m.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if resumed != 1 {
+		t.Fatalf("recovered %d jobs, want 1 (only the valid one)", resumed)
+	}
+
+	for id, want := range map[string]string{
+		lifeID:       "lifetime study owns node failures",
+		wideQueuedID: "radius + 2*jitter",
+	} {
+		got, ok := m.Get(id)
+		if !ok {
+			t.Fatalf("job %s not loaded", id)
+		}
+		if got.State != StateFailed || !strings.Contains(got.Error, want) {
+			t.Errorf("job %s = %s %q, want failed with %q", id, got.State, got.Error, want)
+		}
+	}
+	if got, ok := m.Get(wideDoneID); !ok || got.State != StateDone {
+		t.Errorf("finished invalid job = %+v (loaded %v), want done", got, ok)
+	}
+	if body, ok := m.Result(wideDoneID); !ok || string(body) != storedResult {
+		t.Errorf("finished invalid job result = %q (ok %v), want the stored body", body, ok)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	fin, err := m.Wait(ctx, validID)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if fin.State != StateDone {
+		t.Fatalf("valid job = %s %q, want done", fin.State, fin.Error)
+	}
+	got, _ := m.Result(validID)
+	if want := syncBody(t, KindRun, runScenario()); !bytes.Equal(got, want) {
+		t.Error("recovered valid job differs from synchronous body")
 	}
 }
 

@@ -27,12 +27,14 @@ func benchSpec(m, n int, budgetJ, pfail float64, strat Strategy) Spec {
 	}
 }
 
-func benchRounds(b *testing.B, spec Spec) {
+// benchRounds runs the study b.N times through run — Run, or
+// referenceRun for the frozen per-round path.
+func benchRounds(b *testing.B, spec Spec, run func(context.Context, Spec) ([]CellReport, error)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	rounds := 0
 	for i := 0; i < b.N; i++ {
-		cells, err := Run(context.Background(), spec)
+		cells, err := run(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,17 +50,18 @@ func benchRounds(b *testing.B, spec Spec) {
 // runs this and benchjson records it. The name and configuration are
 // pinned so benchjson pairs it with the pre-session baseline rows.
 func BenchmarkLifetime(b *testing.B) {
-	benchRounds(b, benchSpec(64, 64, 1, 0.001, Static))
+	benchRounds(b, benchSpec(64, 64, 1, 0.001, Static), Run)
 }
 
 // BenchmarkLifetimeReference is the identical study on the frozen
-// per-round sim.Run path (Spec.Reference), measured in the same
-// session so the session speedup is an honest A/B, not a
-// cross-machine comparison.
+// per-round sim.Run path (referenceRun), measured in the same process
+// so the session speedup is an honest A/B, not a cross-machine
+// comparison. The reference drives the production cell loop, so it
+// also builds each cell's session and forwards deaths and link flips
+// to it without running it; EXPERIMENTS.md measures that upkeep as
+// within noise of a reference without a session.
 func BenchmarkLifetimeReference(b *testing.B) {
-	spec := benchSpec(64, 64, 1, 0.001, Static)
-	spec.Reference = true
-	benchRounds(b, spec)
+	benchRounds(b, benchSpec(64, 64, 1, 0.001, Static), referenceRun)
 }
 
 // BenchmarkLifetimeLadder walks the workload axes: death-only (no
@@ -69,16 +72,16 @@ func BenchmarkLifetimeReference(b *testing.B) {
 // most rounds mutate nothing and reuse the previous Result outright.
 func BenchmarkLifetimeLadder(b *testing.B) {
 	b.Run("death-only-static-64", func(b *testing.B) {
-		benchRounds(b, benchSpec(64, 64, 0.003, 0, Static))
+		benchRounds(b, benchSpec(64, 64, 0.003, 0, Static), Run)
 	})
 	b.Run("death-only-64", func(b *testing.B) {
-		benchRounds(b, benchSpec(64, 64, 0.003, 0, RoundRobin))
+		benchRounds(b, benchSpec(64, 64, 0.003, 0, RoundRobin), Run)
 	})
 	b.Run("churn-heavy-64", func(b *testing.B) {
-		benchRounds(b, benchSpec(64, 64, 1, 0.05, Static))
+		benchRounds(b, benchSpec(64, 64, 1, 0.05, Static), Run)
 	})
 	b.Run("churn-heavy-128", func(b *testing.B) {
-		benchRounds(b, benchSpec(128, 128, 1, 0.05, Static))
+		benchRounds(b, benchSpec(128, 128, 1, 0.05, Static), Run)
 	})
 }
 
@@ -86,17 +89,16 @@ func BenchmarkLifetimeLadder(b *testing.B) {
 // per-round path, so every EXPERIMENTS.md before/after pair comes from
 // one session on one machine.
 func BenchmarkLifetimeLadderReference(b *testing.B) {
-	ref := func(spec Spec) Spec { spec.Reference = true; return spec }
 	b.Run("death-only-static-64", func(b *testing.B) {
-		benchRounds(b, ref(benchSpec(64, 64, 0.003, 0, Static)))
+		benchRounds(b, benchSpec(64, 64, 0.003, 0, Static), referenceRun)
 	})
 	b.Run("death-only-64", func(b *testing.B) {
-		benchRounds(b, ref(benchSpec(64, 64, 0.003, 0, RoundRobin)))
+		benchRounds(b, benchSpec(64, 64, 0.003, 0, RoundRobin), referenceRun)
 	})
 	b.Run("churn-heavy-64", func(b *testing.B) {
-		benchRounds(b, ref(benchSpec(64, 64, 1, 0.05, Static)))
+		benchRounds(b, benchSpec(64, 64, 1, 0.05, Static), referenceRun)
 	})
 	b.Run("churn-heavy-128", func(b *testing.B) {
-		benchRounds(b, ref(benchSpec(128, 128, 1, 0.05, Static)))
+		benchRounds(b, benchSpec(128, 128, 1, 0.05, Static), referenceRun)
 	})
 }

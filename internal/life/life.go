@@ -99,12 +99,6 @@ type Spec struct {
 	// BurnInRounds=0 reproduces the un-burned byte stream exactly.
 	// Burn-in is free of simulation work — only the chain advances.
 	BurnInRounds int
-	// Reference forces the frozen per-round sim.Run path (full config
-	// rebuild every round) instead of the round-persistent sim.Session.
-	// The two paths are byte-identical — locked by the differential
-	// matrix in session_test.go — so Reference exists for those tests
-	// and for honest benchmarking, not for production use.
-	Reference bool
 	// Workers sizes the cell-sharding pool (<= 0: GOMAXPROCS). Cells
 	// are sequential inside; the report is byte-identical at any count.
 	Workers int
@@ -385,8 +379,8 @@ type cellState struct {
 	rep      CellReport
 
 	// sess is the round-persistent simulation session the round loop
-	// drives (nil under Spec.Reference): deaths and link flips are
-	// applied to it incrementally, once, as they happen.
+	// drives: deaths and link flips are applied to it incrementally,
+	// once, as they happen.
 	sess *sim.Session
 	// last memoizes the session's previous Result (valid until the next
 	// Run, Reset or mutation) and lastSrc its source. The protocols are
@@ -396,10 +390,6 @@ type cellState struct {
 	// the previous broadcast exactly. Every graph mutation clears last.
 	last    *sim.Result
 	lastSrc int32
-
-	// Per-round scratch of the Reference path, rebuilt each round.
-	downCoords []grid.Coord
-	cutLinks   []sim.Link
 }
 
 // newCellState builds the initial state of a cell: full batteries,
@@ -407,6 +397,10 @@ type cellState struct {
 // starts right after it. The churn chain is burned in here — before
 // round 1 — so both checkpointed and fresh runs see the same chain.
 func newCellState(spec Spec, cell Cell) (*cellState, error) {
+	sess, err := sim.NewSession(spec.Topology, spec.Protocol, spec.Config)
+	if err != nil {
+		return nil, err
+	}
 	v := spec.Topology.NumNodes()
 	st := &cellState{
 		spec:    spec,
@@ -415,18 +409,12 @@ func newCellState(spec Spec, cell Cell) (*cellState, error) {
 		srcIdx:  int32(spec.Topology.Index(spec.Source)),
 		battery: make([]float64, v),
 		dead:    make([]bool, v),
+		sess:    sess,
 	}
 	for i := range st.battery {
 		st.battery[i] = spec.BudgetJ
 	}
 	st.prevSrc = st.srcIdx
-	if !spec.Reference {
-		sess, err := sim.NewSession(spec.Topology, spec.Protocol, spec.Config)
-		if err != nil {
-			return nil, err
-		}
-		st.sess = sess
-	}
 	if cell.PFail > 0 {
 		st.links = sim.LinksOf(spec.Topology)
 		st.linkDown = make([]bool, len(st.links))
@@ -534,9 +522,6 @@ func (st *cellState) churnStep(step int) {
 func (st *cellState) setLink(id int, down bool) {
 	st.linkDown[id] = down
 	st.last = nil
-	if st.sess == nil {
-		return
-	}
 	if down {
 		_ = st.sess.SetLinkDown(id)
 	} else {
@@ -544,59 +529,42 @@ func (st *cellState) setLink(id int, down bool) {
 	}
 }
 
-// roundConfig assembles the sim config of one Reference-path round:
-// the base config plus the current dead nodes and down links, both in
-// deterministic dense order. The session path never calls it — that
-// rebuild is exactly the per-round cost sessions eliminate.
-func (st *cellState) roundConfig() sim.Config {
-	cfg := st.spec.Config
-	if st.deadN > 0 {
-		st.downCoords = st.downCoords[:0]
-		for i := 0; i < st.v; i++ {
-			if st.dead[i] {
-				st.downCoords = append(st.downCoords, st.spec.Topology.At(i))
-			}
-		}
-		cfg.Down = st.downCoords
+// round executes one broadcast round: rotate and churn (begin), run
+// the broadcast — or reuse the memoized one — on the session, then
+// account for it.
+func (st *cellState) round() error {
+	src, err := st.begin()
+	if err != nil {
+		return err
 	}
-	if st.linkDown != nil {
-		st.cutLinks = st.cutLinks[:0]
-		for id, d := range st.linkDown {
-			if d {
-				lk := st.links[id]
-				st.cutLinks = append(st.cutLinks, sim.Link{
-					A: st.spec.Topology.At(int(lk.A)),
-					B: st.spec.Topology.At(int(lk.B)),
-				})
-			}
+	res := st.last
+	if res == nil || src != st.lastSrc {
+		if res, err = st.sess.Run(st.spec.Topology.At(int(src))); err != nil {
+			return fmt.Errorf("life: round %d: %w", st.rep.Rounds+1, err)
 		}
-		cfg.DownLinks = st.cutLinks
+		st.last, st.lastSrc = res, src
 	}
-	return cfg
+	st.account(src, res)
+	return nil
 }
 
-// round executes one broadcast round: rotate, churn, run, account.
-func (st *cellState) round() error {
+// begin opens the next round: it picks the round's source under the
+// cell's strategy and advances the link churn chain.
+func (st *cellState) begin() (int32, error) {
 	r := st.rep.Rounds + 1
 	src := st.pickSource()
 	if src < 0 || st.dead[src] {
-		return fmt.Errorf("life: round %d has no alive source", r)
+		return 0, fmt.Errorf("life: round %d has no alive source", r)
 	}
 	st.churn(r)
-	var res *sim.Result
-	var err error
-	switch {
-	case st.sess == nil:
-		res, err = sim.Run(st.spec.Topology, st.spec.Protocol, st.spec.Topology.At(int(src)), st.roundConfig())
-	case st.last != nil && src == st.lastSrc:
-		res = st.last
-	default:
-		res, err = st.sess.Run(st.spec.Topology.At(int(src)))
-		st.last, st.lastSrc = res, src
-	}
-	if err != nil {
-		return fmt.Errorf("life: round %d: %w", r, err)
-	}
+	return src, nil
+}
+
+// account closes the round that begin opened from src, given its
+// broadcast: it debits batteries, marks deaths, and records the
+// round's report fields and curve sample.
+func (st *cellState) account(src int32, res *sim.Result) {
+	r := st.rep.Rounds + 1
 	st.prevSrc = src
 	st.rep.Rounds = r
 	st.energyJ += res.EnergyJ
@@ -621,9 +589,7 @@ func (st *cellState) round() error {
 			dead[i] = true
 			st.deadN++
 			st.last = nil
-			if st.sess != nil {
-				_ = st.sess.SetNodeDown(i) // i ranges over PerNodeEnergyJ: always in-mesh
-			}
+			_ = st.sess.SetNodeDown(i) // i ranges over PerNodeEnergyJ: always in-mesh
 			if st.rep.FirstDeathRound == 0 {
 				st.rep.FirstDeathRound = r
 			}
@@ -646,7 +612,6 @@ func (st *cellState) round() error {
 			MeanResidualJ: st.meanResidual(),
 		})
 	}
-	return nil
 }
 
 func (st *cellState) hasMilestone(frac float64) bool {
@@ -754,9 +719,6 @@ func (st *cellState) restore(raw []byte) error {
 // mutation order produced it), so resumed runs stay byte-identical.
 func (st *cellState) syncSession() {
 	st.last = nil
-	if st.sess == nil {
-		return
-	}
 	st.sess.Reset()
 	for i, d := range st.dead {
 		if d {

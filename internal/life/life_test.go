@@ -314,9 +314,7 @@ func TestChurnZeroSweepSkipByteIdentity(t *testing.T) {
 	spec.PFail = []float64{0}
 	spec.PNew = 0
 
-	ref := spec
-	ref.Reference = true
-	want, err := Run(context.Background(), ref)
+	want, err := referenceRun(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,9 +344,7 @@ func TestPermanentFailureChurnByteIdentity(t *testing.T) {
 	spec.PFail = []float64{0.05}
 	spec.PNew = 0
 
-	ref := spec
-	ref.Reference = true
-	want, err := Run(context.Background(), ref)
+	want, err := referenceRun(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,9 +374,7 @@ func TestRotationSourceDiesSameRound(t *testing.T) {
 		Replications: 1,
 		Strategies:   []Strategy{RoundRobin},
 	}
-	probe := spec
-	probe.Reference = true
-	st, err := newCellState(probe, probe.CellAt(0))
+	st, err := newRefCell(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +391,7 @@ func TestRotationSourceDiesSameRound(t *testing.T) {
 		t.Fatalf("no source died during its own round in %d rounds; retune the budget", st.rep.Rounds)
 	}
 
-	want, err := RunCell(context.Background(), probe, 0, nil)
+	want, err := referenceCell(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package life
 
 // Differential matrix locking the round-persistent session path to
-// the frozen per-round reference (Spec.Reference): whole-study reports
+// the frozen per-round reference (reference_test.go): whole-study reports
 // must be byte-identical across every canonical topology, every
 // rotation strategy, churn on and off, and every worker count —
 // including runs resumed from mid-study checkpoints. This is the
@@ -43,10 +43,7 @@ func TestSessionDifferentialMatrix(t *testing.T) {
 	for _, k := range grid.Kinds() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
-			ref := matrixSpec(k)
-			ref.Reference = true
-			ref.Workers = 1
-			want, err := Run(context.Background(), ref)
+			want, err := referenceRun(context.Background(), matrixSpec(k))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,10 +74,8 @@ func TestSessionCheckpointResumeMatchesReference(t *testing.T) {
 	spec := matrixSpec(grid.Mesh2D4)
 	spec.BurnInRounds = 16
 	spec.CheckpointEvery = 8
-	ref := spec
-	ref.Reference = true
 	for _, index := range []int{0, spec.NumCells() - 1} {
-		base, err := RunCell(context.Background(), ref, index, nil)
+		base, err := referenceCell(spec, index)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,9 +111,7 @@ func TestRestoreDropsRoundMemo(t *testing.T) {
 	spec := matrixSpec(grid.Mesh2D4)
 	spec.Strategies = []Strategy{Static}
 	spec.PFail = nil
-	ref := spec
-	ref.Reference = true
-	want, err := RunCell(context.Background(), ref, 0, nil)
+	want, err := referenceCell(spec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +172,7 @@ func TestBurnInSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	burnedRef := burned
-	burnedRef.Reference = true
-	burnedRefRep, err := Run(context.Background(), burnedRef)
+	burnedRefRep, err := referenceRun(context.Background(), burned)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,10 +43,6 @@ type Spec struct {
 	Source   grid.Coord
 	// Config is the base simulation config; sampled failures are merged
 	// into its Down list and the loss channel replaces its Channel.
-	// Config.Workers flows through to every replication's sim.Run: on a
-	// large-grid study it enables deterministic intra-run sharding on
-	// top of the cross-replication pool below, without changing any
-	// estimate (the engine is byte-identical at every worker count).
 	Config sim.Config
 	// Seed is the study seed; replication r of every grid point runs
 	// under sim.ReplicationSeed(Seed, r).

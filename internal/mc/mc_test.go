@@ -126,35 +126,6 @@ func TestLossAndFailureCurves(t *testing.T) {
 // The grid axes are canonical: duplicated, unsorted rate lists produce
 // the byte-identical report of their sorted deduplication, and nil
 // means {0}.
-// TestConfigWorkersInvariance pins the doc contract on Spec.Config:
-// the intra-run shard pool a study requests via Config.Workers cannot
-// move any estimate. Both reports carry sampled loss and failures, so
-// the invariance holds on the stochastic path, not just the zero-rate
-// bridge.
-func TestConfigWorkersInvariance(t *testing.T) {
-	topo := grid.NewMesh2D4(12, 8)
-	spec := Spec{
-		Topology: topo, Protocol: core.ForTopology(grid.Mesh2D4), Source: center(topo),
-		Seed: 9, Replications: 4,
-		LossRates: []float64{0, 0.1}, FailureRates: []float64{0.05},
-	}
-	serial := spec
-	serial.Config.Workers = 1
-	sharded := spec
-	sharded.Config.Workers = 8
-	repSerial, err := Run(context.Background(), serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repSharded, err := Run(context.Background(), sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(repSerial, repSharded) {
-		t.Error("Config.Workers=1 and =8 studies diverged")
-	}
-}
-
 func TestRateGridCanonicalization(t *testing.T) {
 	topo := grid.NewMesh2D4(6, 4)
 	base := Spec{

@@ -91,9 +91,10 @@ func TestLifetimeValidation(t *testing.T) {
 		"with reliability": func(s *Scenario) {
 			s.Reliability = &ReliabilitySpec{Seed: 1, Replications: 10}
 		},
-		"bad churn rate": func(s *Scenario) { s.Lifetime.ChurnRates = []float64{2} },
-		"bad p_new":      func(s *Scenario) { s.Lifetime.PNew = 1.5 },
-		"bad burn-in":    func(s *Scenario) { s.Lifetime.BurnInRounds = -1 },
+		"bad churn rate":  func(s *Scenario) { s.Lifetime.ChurnRates = []float64{2} },
+		"bad p_new":       func(s *Scenario) { s.Lifetime.PNew = 1.5 },
+		"bad burn-in":     func(s *Scenario) { s.Lifetime.BurnInRounds = -1 },
+		"with down nodes": func(s *Scenario) { s.Down = []Point{{X: 1, Y: 1}} },
 	}
 	for name, mut := range cases {
 		s := base

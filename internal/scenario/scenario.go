@@ -218,12 +218,31 @@ func Load(r io.Reader) (Scenario, error) {
 	return s, err
 }
 
+// maxIrregularReach bounds radius + 2*jitter of an irregular mesh, in
+// grid spacings. The mesh's construction scans
+// (2*ceil(radius + 2*jitter) + 1)^2 cells per node, so an unbounded
+// radius is an unbounded CPU cost before anything is admitted; every
+// irregular study in this repository uses radius <= 1.6 and
+// jitter <= 0.45.
+const maxIrregularReach = 4
+
 func (s Scenario) topology() (grid.Topology, error) {
 	t := s.Topology
 	if t.M < 1 || t.N < 1 {
 		return nil, fmt.Errorf("scenario: topology needs m, n >= 1")
 	}
-	switch strings.ToLower(t.Kind) {
+	kind, l := strings.ToLower(t.Kind), 1
+	if kind == "3d6" {
+		l = max(t.L, 1)
+	}
+	// Node indices are int32 throughout the engine; reject a mesh whose
+	// node count wraps int or leaves that index space, before any
+	// constructor sees it.
+	if t.M > math.MaxInt32/t.N || t.M*t.N > math.MaxInt32/l {
+		return nil, fmt.Errorf("scenario: a %d x %d x %d mesh exceeds the engine's %d-node index space",
+			t.M, t.N, l, math.MaxInt32)
+	}
+	switch kind {
 	case "2d3":
 		return grid.NewMesh2D3(t.M, t.N), nil
 	case "2d4":
@@ -231,14 +250,17 @@ func (s Scenario) topology() (grid.Topology, error) {
 	case "2d8":
 		return grid.NewMesh2D8(t.M, t.N), nil
 	case "3d6":
-		l := t.L
-		if l < 1 {
-			l = 1
-		}
 		return grid.NewMesh3D6(t.M, t.N, l), nil
 	case "irregular":
 		if t.Radius <= 0 {
 			return nil, fmt.Errorf("scenario: irregular topology needs radius > 0")
+		}
+		if t.Jitter < 0 {
+			return nil, fmt.Errorf("scenario: irregular topology needs jitter >= 0 (got %g)", t.Jitter)
+		}
+		if t.Radius+2*t.Jitter > maxIrregularReach {
+			return nil, fmt.Errorf("scenario: irregular radius + 2*jitter is %g; the limit is %d grid spacings",
+				t.Radius+2*t.Jitter, maxIrregularReach)
 		}
 		return grid.NewIrregular(t.M, t.N, t.Jitter, t.Radius, t.Seed), nil
 	default:
@@ -401,9 +423,12 @@ func canonicalPoints(ps []Point) []Point {
 // Compile validates the scenario and builds its topology, protocol and
 // simulation config without running anything. Beyond what Run would
 // reject lazily, it checks that every source and down node lies inside
-// the mesh and that a pipeline request asks for at least one packet,
+// the mesh, that the down list conflicts with no source (see
+// checkDown) and that a pipeline request asks for at least one packet,
 // so a caller (the HTTP service) can refuse a bad document before
-// committing worker time to it.
+// committing worker time to it. Mesh sizes are checked before the
+// topology is built: the node count must fit the engine's int32
+// indices, and an irregular mesh's reach is bounded.
 func (s Scenario) Compile() (grid.Topology, sim.Protocol, sim.Config, error) {
 	topo, err := s.topology()
 	if err != nil {
@@ -426,6 +451,9 @@ func (s Scenario) Compile() (grid.Topology, sim.Protocol, sim.Config, error) {
 		if !topo.Contains(d) {
 			return nil, nil, sim.Config{}, fmt.Errorf("scenario: down node %s outside the %s mesh", d, topo.Kind())
 		}
+	}
+	if err := s.checkDown(); err != nil {
+		return nil, nil, sim.Config{}, err
 	}
 	if s.Pipeline != nil && s.Pipeline.Packets < 1 {
 		return nil, nil, sim.Config{}, fmt.Errorf("scenario: pipeline needs packets >= 1")
@@ -480,6 +508,32 @@ func (s Scenario) Compile() (grid.Topology, sim.Protocol, sim.Config, error) {
 		}
 	}
 	return topo, p, cfg, nil
+}
+
+// checkDown rejects the down lists no run could honour: a source that
+// is itself down, a down node in an all-sources sweep (the sweep would
+// broadcast from it), and down nodes in a lifetime study, whose round
+// loop owns node failures.
+func (s Scenario) checkDown() error {
+	if len(s.Down) == 0 {
+		return nil
+	}
+	if s.Lifetime != nil {
+		return fmt.Errorf("scenario: a lifetime study owns node failures; drop the down list")
+	}
+	if len(s.Sources) == 0 {
+		return fmt.Errorf("scenario: an all-sources sweep broadcasts from every node, so it cannot have down nodes; list the sources")
+	}
+	down := make(map[grid.Coord]bool, len(s.Down))
+	for _, d := range s.Down {
+		down[d.Coord()] = true
+	}
+	for _, src := range s.Sources {
+		if down[src.Coord()] {
+			return fmt.Errorf("scenario: source %s is in the down list", src.Coord())
+		}
+	}
+	return nil
 }
 
 // strategyNames lists the valid lifetime strategies for hints.

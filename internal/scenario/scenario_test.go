@@ -121,6 +121,12 @@ func TestScenarioErrors(t *testing.T) {
 		`{"topology": {"kind": "2d4", "m": 4, "n": 4}, "protocol": "bogus"}`,
 		`{"topology": {"kind": "irregular", "m": 4, "n": 4, "radius": 1.2}, "protocol": "paper"}`,
 		`{"topology": {"kind": "2d4", "m": 4, "n": 4}, "packet_bits": -2, "sources": [{"x":1,"y":1}]}`,
+		`{"topology": {"kind": "2d4", "m": 8589934592, "n": 2147483648}, "sources": [{"x":1,"y":1}]}`,
+		`{"topology": {"kind": "3d6", "m": 2048, "n": 2048, "l": 1024}, "sources": [{"x":1,"y":1}]}`,
+		`{"topology": {"kind": "irregular", "m": 4, "n": 4, "radius": 1.2, "jitter": -0.5}, "protocol": "flooding", "sources": [{"x":1,"y":1}]}`,
+		`{"topology": {"kind": "irregular", "m": 4, "n": 4, "radius": 3000}, "protocol": "flooding", "sources": [{"x":1,"y":1}]}`,
+		`{"topology": {"kind": "2d4", "m": 4, "n": 4}, "sources": [{"x":2,"y":2}], "down": [{"x":2,"y":2}]}`,
+		`{"topology": {"kind": "2d4", "m": 4, "n": 4}, "down": [{"x":2,"y":2}]}`,
 	}
 	for _, doc := range cases {
 		s := load(t, doc)

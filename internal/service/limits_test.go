@@ -3,32 +3,57 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 )
 
-// overflowCase is a document whose admission-cap arithmetic wraps a
-// 64-bit int when computed naively, and every endpoint that admits it.
-type overflowCase struct {
+// rejectCase is a hostile or contradictory document, every endpoint
+// that would otherwise admit it, and the status all of them must
+// answer with. want zero means 413.
+type rejectCase struct {
 	doc       string
 	endpoints []string
 	jobKind   string
+	want      int
+	// msg, when set, must appear in every rejection body.
+	msg string
 }
 
+// rejectBudget bounds the wall time of one rejection. A rejected
+// document does no simulation work, so milliseconds are typical; the
+// bound is loose enough for a loaded host yet far below the seconds a
+// pre-admission topology build costs.
+const rejectBudget = 2 * time.Second
+
 // expectRejected posts the document to each endpoint (and as a job of
-// the given kind), requires 413 from all of them, then requires the
-// server to keep answering an ordinary request.
-func expectRejected(t *testing.T, c overflowCase) {
+// the given kind), requires the case's status from all of them within
+// rejectBudget, then requires the server to keep answering an ordinary
+// request.
+func expectRejected(t *testing.T, c rejectCase) {
 	t.Helper()
+	want := c.want
+	if want == 0 {
+		want = http.StatusRequestEntityTooLarge
+	}
 	srv := New(Config{})
-	for _, path := range c.endpoints {
-		if w := post(srv, path, c.doc); w.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("POST %s: status = %d, want 413; body %s", path, w.Code, w.Body)
+	check := func(path, body string) {
+		t.Helper()
+		start := time.Now()
+		w := post(srv, path, body)
+		if took := time.Since(start); took > rejectBudget {
+			t.Errorf("POST %s: rejection took %v (budget %v)", path, took, rejectBudget)
+		}
+		if w.Code != want {
+			t.Errorf("POST %s: status = %d, want %d; body %s", path, w.Code, want, w.Body)
+		} else if !strings.Contains(w.Body.String(), c.msg) {
+			t.Errorf("POST %s: body %s lacks %q", path, w.Body, c.msg)
 		}
 	}
-	job := fmt.Sprintf(`{"kind": %q, "scenario": %s}`, c.jobKind, c.doc)
-	if w := post(srv, "/v1/jobs", job); w.Code != http.StatusRequestEntityTooLarge {
-		t.Errorf("POST /v1/jobs: status = %d, want 413; body %s", w.Code, w.Body)
+	for _, path := range c.endpoints {
+		check(path, c.doc)
 	}
+	check("/v1/jobs", fmt.Sprintf(`{"kind": %q, "scenario": %s}`, c.jobKind, c.doc))
 	if w := post(srv, "/v1/run", runDoc); w.Code != http.StatusOK {
 		t.Errorf("server stopped serving after the rejections: status = %d", w.Code)
 	}
@@ -37,7 +62,7 @@ func expectRejected(t *testing.T, c overflowCase) {
 // 2^62 replications x 4 loss rates is 2^64 simulation jobs, which a
 // plain product wraps to 0.
 func TestReliabilityJobCountOverflow413(t *testing.T) {
-	expectRejected(t, overflowCase{
+	expectRejected(t, rejectCase{
 		doc: `{
 			"topology": {"kind": "2d4", "m": 4, "n": 4},
 			"sources": [{"x": 1, "y": 1}],
@@ -51,7 +76,7 @@ func TestReliabilityJobCountOverflow413(t *testing.T) {
 // 2^61 single-strategy cells x 8 rounds is 2^64 broadcasts, which a
 // plain product wraps to 0.
 func TestLifetimeCellRoundsOverflow413(t *testing.T) {
-	expectRejected(t, overflowCase{
+	expectRejected(t, rejectCase{
 		doc: `{
 			"topology": {"kind": "2d4", "m": 8, "n": 8},
 			"sources": [{"x": 4, "y": 4}],
@@ -64,7 +89,7 @@ func TestLifetimeCellRoundsOverflow413(t *testing.T) {
 
 // max_rounds + burnin_rounds = 2^63 wraps to MinInt64 when added.
 func TestLifetimeBurnInRoundsOverflow413(t *testing.T) {
-	expectRejected(t, overflowCase{
+	expectRejected(t, rejectCase{
 		doc: `{
 			"topology": {"kind": "2d4", "m": 8, "n": 8},
 			"sources": [{"x": 4, "y": 4}],
@@ -76,6 +101,91 @@ func TestLifetimeBurnInRoundsOverflow413(t *testing.T) {
 		}`,
 		endpoints: []string{"/v1/lifetime"},
 		jobKind:   "lifetime",
+	})
+}
+
+// m*n = 2^64 wraps to 0 when multiplied, which once passed the node
+// cap and panicked the engine inside a pool worker, killing the
+// process.
+func TestNodeCountOverflow413(t *testing.T) {
+	expectRejected(t, rejectCase{
+		doc:       `{"topology": {"kind": "2d4", "m": 8589934592, "n": 2147483648}, "sources": [{"x": 1, "y": 1}]}`,
+		endpoints: []string{"/v1/run", "/v1/scenario"},
+		jobKind:   "run",
+		msg:       "mesh too large",
+	})
+}
+
+// A 2.25M-node irregular mesh must meet the node cap before its
+// adjacency is built, not after.
+func TestIrregularOversizedMesh413(t *testing.T) {
+	expectRejected(t, rejectCase{
+		doc:       `{"topology": {"kind": "irregular", "m": 1500, "n": 1500, "radius": 1.2}, "protocol": "flooding", "sources": [{"x": 1, "y": 1}]}`,
+		endpoints: []string{"/v1/run", "/v1/scenario"},
+		jobKind:   "run",
+		msg:       "mesh too large",
+	})
+}
+
+// An irregular radius of 3000 scans ~36M cells per node at
+// construction: seconds of CPU for an 8x8 mesh.
+func TestIrregularHugeRadius400(t *testing.T) {
+	expectRejected(t, rejectCase{
+		doc:       `{"topology": {"kind": "irregular", "m": 8, "n": 8, "radius": 3000}, "protocol": "flooding", "sources": [{"x": 1, "y": 1}]}`,
+		endpoints: []string{"/v1/run", "/v1/scenario"},
+		jobKind:   "run",
+		want:      http.StatusBadRequest,
+		msg:       "radius",
+	})
+}
+
+// Negative jitter used to reach the irregular constructor's panic from
+// the handler.
+func TestIrregularNegativeJitter400(t *testing.T) {
+	expectRejected(t, rejectCase{
+		doc:       `{"topology": {"kind": "irregular", "m": 8, "n": 8, "radius": 1.2, "jitter": -0.5}, "protocol": "flooding", "sources": [{"x": 1, "y": 1}]}`,
+		endpoints: []string{"/v1/run", "/v1/scenario"},
+		jobKind:   "run",
+		want:      http.StatusBadRequest,
+		msg:       "jitter",
+	})
+}
+
+// Down-list conflicts are document errors: a 400 from the sync
+// endpoints and from job submission, never a 500 from the engine or a
+// job accepted only to fail.
+func TestDownSourceConflict400(t *testing.T) {
+	expectRejected(t, rejectCase{
+		doc:       `{"topology": {"kind": "2d4", "m": 6, "n": 6}, "sources": [{"x": 3, "y": 3}], "down": [{"x": 3, "y": 3}]}`,
+		endpoints: []string{"/v1/run", "/v1/scenario"},
+		jobKind:   "run",
+		want:      http.StatusBadRequest,
+		msg:       "down list",
+	})
+}
+
+func TestDownOnAllSourcesSweep400(t *testing.T) {
+	expectRejected(t, rejectCase{
+		doc:       `{"topology": {"kind": "2d4", "m": 6, "n": 6}, "down": [{"x": 2, "y": 2}]}`,
+		endpoints: []string{"/v1/sweep", "/v1/scenario"},
+		jobKind:   "sweep",
+		want:      http.StatusBadRequest,
+		msg:       "down nodes",
+	})
+}
+
+func TestDownWithLifetime400(t *testing.T) {
+	expectRejected(t, rejectCase{
+		doc: `{
+			"topology": {"kind": "2d4", "m": 6, "n": 6},
+			"sources": [{"x": 3, "y": 3}],
+			"down": [{"x": 1, "y": 1}],
+			"lifetime": {"budget_j": 0.004, "max_rounds": 8, "seed": 11}
+		}`,
+		endpoints: []string{"/v1/lifetime"},
+		jobKind:   "lifetime",
+		want:      http.StatusBadRequest,
+		msg:       "down list",
 	})
 }
 

@@ -436,13 +436,18 @@ func (s *Server) handleSim(endpoint string, prep func(scenario.Scenario) error, 
 // (0, "") for an admissible document, else the HTTP status and
 // message to reject with.
 func (s *Server) checkLimits(sc scenario.Scenario) (int, string) {
-	topo, _, _, err := sc.Compile()
-	if err != nil {
-		return http.StatusBadRequest, err.Error()
-	}
-	if n := topo.NumNodes(); n > s.cfg.MaxNodes {
+	// The node cap applies to the document's dimensions, before Compile
+	// builds anything: an irregular mesh materializes its whole
+	// adjacency at construction. The scenario is canonical, so L is
+	// zero on every kind but 3D-6. Non-positive dimensions pass here
+	// and fail Compile's validation with a 400.
+	t, l := sc.Topology, max(sc.Topology.L, 1)
+	if t.M > 0 && t.N > 0 && !withinLimit(s.cfg.MaxNodes, t.M, t.N, l) {
 		return http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("mesh too large: %d nodes (limit %d)", n, s.cfg.MaxNodes)
+			fmt.Sprintf("mesh too large: %d x %d x %d nodes (limit %d)", t.M, t.N, l, s.cfg.MaxNodes)
+	}
+	if _, _, _, err := sc.Compile(); err != nil {
+		return http.StatusBadRequest, err.Error()
 	}
 	if rel := sc.Reliability; rel != nil {
 		// The grids are canonical here, so the product is the exact

@@ -48,23 +48,12 @@ func benchRun(b *testing.B, topo grid.Topology, cfg sim.Config) {
 }
 
 // BenchmarkScale measures the default engine (implicit path above the
-// gate, auto workers) across the size ladder.
+// gate) across the size ladder.
 func BenchmarkScale(b *testing.B) {
 	for _, topo := range scaleTopos() {
 		m, n, l := topo.Size()
 		b.Run(fmt.Sprintf("%s/%dx%dx%d", topo.Kind(), m, n, l), func(b *testing.B) {
 			benchRun(b, topo, sim.Config{})
-		})
-	}
-}
-
-// BenchmarkScaleSerial pins Workers=1, isolating the implicit-path
-// gains from the sharded step (on a single-core host the two coincide).
-func BenchmarkScaleSerial(b *testing.B) {
-	for _, topo := range scaleTopos() {
-		m, n, l := topo.Size()
-		b.Run(fmt.Sprintf("%s/%dx%dx%d", topo.Kind(), m, n, l), func(b *testing.B) {
-			benchRun(b, topo, sim.Config{Workers: 1})
 		})
 	}
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"wsnbcast/internal/grid"
@@ -58,13 +57,6 @@ type Config struct {
 	// replayed transmission receiving the same verdict. nil is the
 	// error-free channel.
 	Channel Channel
-	// Workers bounds the intra-run worker pool that shards each slot's
-	// transmitter set. 0 (or negative) means auto: serial below the
-	// large-grid node threshold, min(GOMAXPROCS, 8) workers above it.
-	// 1 pins the serial path. The sharded path merges per-shard deltas
-	// in shard order, so the Result — traces included — is
-	// byte-identical for every value; only wall-clock time changes.
-	Workers int
 }
 
 func (c Config) withDefaults(v int) Config {
@@ -83,48 +75,20 @@ func (c Config) withDefaults(v int) Config {
 	return c
 }
 
-// Large-grid engine thresholds. Vars, not consts, so the differential
-// tests can force either path at any size; production code never
-// mutates them.
-var (
-	// largeGridNodes is the node count at (and above) which the engine
-	// switches from the cached materialized adjacency of the small-grid
-	// path to implicit neighbor indexing, stops populating the unbounded
-	// (kind, size)-keyed caches, and — under Workers=0 auto — enables
-	// intra-run sharding. 64k nodes materialize only a few hundred KiB
-	// of adjacency; one step further (256k and beyond) the lists reach
-	// tens of MiB and the implicit path wins on both memory and time.
-	largeGridNodes = 1 << 16
-	// parallelMinTxs is the minimum transmitter count in one slot for
-	// the sharded path to engage; below it the per-slot goroutine
-	// handoff costs more than it saves.
-	parallelMinTxs = 128
-	// autoWorkersCap bounds the auto-selected worker count; slot
-	// sharding is memory-bandwidth bound well before 8 workers.
-	autoWorkersCap = 8
-)
+// largeGridNodes is the node count at (and above) which the engine
+// switches from the cached materialized adjacency of the small-grid
+// path to implicit neighbor indexing and stops populating the
+// unbounded (kind, size)-keyed caches. 64k nodes materialize only a
+// few hundred KiB of adjacency; one step further (256k and beyond) the
+// lists reach tens of MiB and the implicit path wins on both memory
+// and time. A var, not a const, so the differential tests can force
+// either path at any size; production code never mutates it.
+var largeGridNodes = 1 << 16
 
 // resumeHook, when non-nil, observes the resume slot of every replay
 // that rewinds instead of restarting from slot 0. Nil in production;
 // the package's tests install a counter to prove resumption happens.
 var resumeHook func(S int)
-
-// effectiveWorkers resolves Config.Workers for a v-node run.
-func effectiveWorkers(cfgWorkers, v int) int {
-	if cfgWorkers == 1 {
-		return 1
-	}
-	if cfgWorkers > 1 {
-		return cfgWorkers
-	}
-	if v >= largeGridNodes {
-		if w := runtime.GOMAXPROCS(0); w < autoWorkersCap {
-			return w
-		}
-		return autoWorkersCap
-	}
-	return 1
-}
 
 // injection is a repair transmission planned by the scheduler: node
 // transmits in the given absolute slot (provided it holds the message
@@ -151,11 +115,9 @@ type injection struct {
 // relay plan replacing the per-decode Protocol interface calls. Above
 // largeGridNodes (and for every Irregular mesh) it additionally drops
 // the materialized adjacency for implicit neighbor indexing
-// (grid.NeighborIndexer) and, when Config.Workers allows, shards each
-// slot's transmitter set across a bounded worker pool with
-// shard-ordered merges. RunReference preserves the original
-// implementation; the differential tests prove every path produces
-// byte-identical Results.
+// (grid.NeighborIndexer). The package's tests keep the original
+// implementation as a frozen oracle and prove every path produces
+// byte-identical Results against it.
 func Run(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*Result, error) {
 	e, err := runLoop(t, p, src, cfg)
 	if e != nil {
@@ -372,31 +334,10 @@ func copyAdjacency(adj [][]int32) [][]int32 {
 	return out
 }
 
-// stepShard is one contiguous chunk of a slot's transmitter set,
-// processed by one worker of the sharded path. Everything a shard
-// writes is either private to it (the delta counters, the hits and
-// trace buffers, the neighbor scratch) or owned exclusively by one of
-// its transmitters (txSlots rows — transmitters are deduplicated per
-// slot, and the partition is disjoint). The serial merge then folds
-// shards back IN SHARD ORDER, which reconstructs exactly the sequence
-// a serial pass over the whole transmitter set would have produced:
-// shard-local buffers are in serial order by construction, and every
-// reception of shard s precedes every reception of shard s+1. That is
-// the whole determinism argument — results are byte-identical at any
-// worker count, including the trace event stream.
-type stepShard struct {
-	lo, hi int     // chunk bounds into the slot's txs
-	rx     int     // delivered receptions
-	lost   int     // channel-dropped receptions
-	hits   []int32 // delivered receivers, one entry per reception, serial order
-	trace  []Event // EventTx/EventLost stream of this chunk, serial order
-	nbuf   []int32 // implicit-iteration scratch
-}
-
 // engine holds the mutable state of one schedule replay. Engines are
 // pooled (enginePool): all scratch state — the struct-of-arrays
 // decode/heard/hit vectors, the covered bitset, per-node transmission
-// logs, the slot queues, the shard buffers, the trace buffer, the
+// logs, the slot queues, the trace buffer, the
 // rewind logs and checkpoints — is sized once and reset or rewound,
 // not reallocated, across the repair-replay rounds of one Run and
 // across the thousands of Runs of a sweep or Monte Carlo grid. Only
@@ -404,17 +345,16 @@ type stepShard struct {
 // finish.
 type engine struct {
 	// Per-Run bindings, cleared on release so the pool pins nothing.
-	topo    grid.Topology
-	proto   Protocol
-	plan    *relayPlan
-	src     grid.Coord
-	srcIdx  int32
-	cfg     Config
-	ix      grid.NeighborIndexer // implicit neighbor source (large grids, Irregular)
-	nbr     [][]int32            // materialized adjacency (small grids; down nodes removed)
-	down    []bool               // failed-node mask (nil when none); escapes into the Result
-	downN   int                  // number of failed nodes
-	workers int                  // resolved intra-run worker count
+	topo   grid.Topology
+	proto  Protocol
+	plan   *relayPlan
+	src    grid.Coord
+	srcIdx int32
+	cfg    Config
+	ix     grid.NeighborIndexer // implicit neighbor source (large grids, Irregular)
+	nbr    [][]int32            // materialized adjacency (small grids; down nodes removed)
+	down   []bool               // failed-node mask (nil when none); escapes into the Result
+	downN  int                  // number of failed nodes
 
 	// Arena state, capacity retained across Runs. Per-node scalars are
 	// int32 (struct-of-arrays), per-node booleans are bitsets: the
@@ -425,12 +365,11 @@ type engine struct {
 	heard      []int32 // receptions per node, derived from txSlots by finishInto
 	hit        []int32 // scratch: transmitters heard this slot
 	txSlots    [][]int
-	touched    []int32   // scratch: receivers hit this slot
-	pending    slotQueue // protocol-scheduled transmissions
-	inject     slotQueue // planned repair transmissions
-	injScratch []int32   // scratch txs for injection-only slots
-	shards     []stepShard
-	nbufStep   []int32     // serial step's neighbor scratch
+	touched    []int32     // scratch: receivers hit this slot
+	pending    slotQueue   // protocol-scheduled transmissions
+	inject     slotQueue   // planned repair transmissions
+	injScratch []int32     // scratch txs for injection-only slots
+	nbufStep   []int32     // step's neighbor scratch
 	nbufA      []int32     // planner scratch: missing node's neighbors
 	nbufB      []int32     // planner scratch: donor's neighbors
 	nbufC      []int32     // planner scratch: planned repair's neighbors
@@ -473,7 +412,6 @@ func getEngine(t grid.Topology, p Protocol, plan *relayPlan, src grid.Coord, cfg
 			e.downN++
 		}
 	}
-	e.workers = effectiveWorkers(cfg.Workers, t.NumNodes())
 	e.sizeTo(t.NumNodes())
 	return e
 }
@@ -769,15 +707,9 @@ func (e *engine) drain(from int) error {
 	return nil
 }
 
-// step executes one slot with the given transmitters, sharding the set
-// across the worker pool when it is large enough to pay for the
-// handoff.
+// step executes one slot with the given transmitters.
 func (e *engine) step(slot int, txs []int32) {
 	e.txLog = append(e.txLog, txs...)
-	if e.workers > 1 && len(txs) >= parallelMinTxs {
-		e.stepSharded(slot, txs)
-		return
-	}
 	tracing := e.cfg.Trace != nil
 	ch := e.cfg.Channel
 	filter := e.liveFilter()
@@ -810,101 +742,9 @@ func (e *engine) step(slot int, txs []int32) {
 	e.decodePhase(slot, touched)
 }
 
-// stepSharded is the deterministic parallel variant of the transmitter
-// loop: contiguous chunks of the (deduplicated, sorted) transmitter
-// set are processed concurrently, then folded back in shard order. See
-// the stepShard comment for why the fold reconstructs the serial
-// sequence exactly.
-func (e *engine) stepSharded(slot int, txs []int32) {
-	nsh := e.workers
-	if maxSh := (len(txs) + parallelMinTxs - 1) / parallelMinTxs; nsh > maxSh {
-		nsh = maxSh
-	}
-	if cap(e.shards) < nsh {
-		grown := make([]stepShard, nsh)
-		copy(grown, e.shards[:cap(e.shards)])
-		e.shards = grown
-	}
-	shards := e.shards[:nsh]
-	chunk := (len(txs) + nsh - 1) / nsh
-	var wg sync.WaitGroup
-	for s := range shards {
-		sh := &shards[s]
-		sh.lo = s * chunk
-		if sh.lo > len(txs) {
-			sh.lo = len(txs) // ceil-sized chunks can overshoot: trailing shards go empty
-		}
-		sh.hi = sh.lo + chunk
-		if sh.hi > len(txs) {
-			sh.hi = len(txs)
-		}
-		sh.rx, sh.lost = 0, 0
-		sh.hits = sh.hits[:0]
-		sh.trace = sh.trace[:0]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e.shardWork(slot, txs, sh)
-		}()
-	}
-	wg.Wait()
-
-	// Shard-ordered merge: counters, trace streams, then the reception
-	// sequence driving hit/touched — all identical to one serial pass
-	// over txs.
-	e.res.Tx += len(txs)
-	tracing := e.cfg.Trace != nil
-	touched := e.touched[:0]
-	for s := range shards {
-		sh := &shards[s]
-		e.res.Rx += sh.rx
-		e.res.Lost += sh.lost
-		if tracing {
-			e.traceBuf = append(e.traceBuf, sh.trace...)
-		}
-		for _, nb := range sh.hits {
-			if e.hit[nb] == 0 {
-				touched = append(touched, nb)
-			}
-			e.hit[nb]++
-		}
-	}
-	e.touched = touched
-	e.decodePhase(slot, touched)
-}
-
-// shardWork processes one shard's transmitters. It writes only
-// shard-private state and the txSlots rows of its own (deduplicated)
-// transmitters; reads are of immutable per-Run state.
-func (e *engine) shardWork(slot int, txs []int32, sh *stepShard) {
-	tracing := e.cfg.Trace != nil
-	ch := e.cfg.Channel
-	filter := e.liveFilter()
-	for _, tx := range txs[sh.lo:sh.hi] {
-		e.txSlots[tx] = append(e.txSlots[tx], slot)
-		if tracing {
-			sh.trace = append(sh.trace, Event{Slot: slot, Kind: EventTx, Node: e.topo.At(int(tx))})
-		}
-		for _, nb := range e.neighborsOf(tx, &sh.nbuf) {
-			if filter != nil && filter[nb] {
-				continue
-			}
-			if ch != nil && !ch.Deliver(slot, tx, nb) {
-				sh.lost++
-				if tracing {
-					sh.trace = append(sh.trace, Event{Slot: slot, Kind: EventLost, Node: e.topo.At(int(nb))})
-				}
-				continue
-			}
-			sh.rx++
-			sh.hits = append(sh.hits, nb)
-		}
-	}
-}
-
 // decodePhase resolves the slot's touched receivers — collision,
 // duplicate, or first decode with relay scheduling — in first-hit
-// order. Shared verbatim by the serial and sharded paths.
+// order.
 func (e *engine) decodePhase(slot int, touched []int32) {
 	tracing := e.cfg.Trace != nil
 	for _, nb := range touched {

@@ -6,13 +6,13 @@ import (
 	"wsnbcast/internal/grid"
 )
 
-// Test-only knobs for the large-grid engine thresholds. The engine
-// selects its neighbor source and parallelism by node count; forcing
-// the thresholds lets the differential tests drive every path — the
-// implicit indexer and the sharded step on tiny meshes, the
-// materialized small-grid path on huge ones — against the same frozen
-// oracle. Each setter returns a restore function for defer; the knobs
-// are not safe to change concurrently with Runs.
+// Test-only knob for the large-grid engine threshold. The engine
+// selects its neighbor source by node count; forcing the threshold
+// lets the differential tests drive both paths — the implicit indexer
+// on tiny meshes, the materialized small-grid path on huge ones —
+// against the same frozen oracle. The setter returns a restore
+// function for defer; the knob is not safe to change concurrently
+// with Runs.
 
 // SetLargeGridThresholdForTest overrides largeGridNodes: 0 forces the
 // implicit path (and cache gating) at every size, a huge value forces
@@ -21,14 +21,6 @@ func SetLargeGridThresholdForTest(n int) (restore func()) {
 	old := largeGridNodes
 	largeGridNodes = n
 	return func() { largeGridNodes = old }
-}
-
-// SetParallelMinTxsForTest overrides the minimum per-slot transmitter
-// count for the sharded step, so tiny meshes exercise shard merging.
-func SetParallelMinTxsForTest(n int) (restore func()) {
-	old := parallelMinTxs
-	parallelMinTxs = n
-	return func() { parallelMinTxs = old }
 }
 
 // AdjCacheHas reports whether a materialized adjacency is cached for
@@ -47,9 +39,6 @@ func PlanCacheHas(t grid.Topology, p Protocol, src grid.Coord) bool {
 	_, ok := planCache.Load(planKey{kind: t.Kind(), m: m, n: n, l: l, src: t.Index(src), proto: p})
 	return ok
 }
-
-// EffectiveWorkersForTest exposes the Config.Workers resolution rule.
-func EffectiveWorkersForTest(cfgWorkers, v int) int { return effectiveWorkers(cfgWorkers, v) }
 
 // RunLoopForBenchmark drives the full schedule/repair loop but skips
 // Result assembly, isolating the engine's steady-state allocation: the

@@ -1,16 +1,16 @@
 package sim_test
 
 // Differential and budget tests for the large-grid fast path: implicit
-// neighbor indexing, bitset/struct-of-arrays arena state, and the
-// deterministic sharded step. The contract under test is the same as
-// differential_test.go's — byte-identical Results and traces against
-// the frozen sim.RunReference oracle — extended across the engine's
-// path-selection thresholds (forced via the export_test knobs) and
-// across Config.Workers values.
+// neighbor indexing and bitset/struct-of-arrays arena state. The
+// contract under test is the same as differential_test.go's —
+// byte-identical Results and traces against the frozen
+// sim.RunReference oracle — extended across the engine's
+// path-selection threshold (forced via the export_test knob).
 
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"wsnbcast/internal/core"
@@ -19,8 +19,8 @@ import (
 	"wsnbcast/internal/sim"
 )
 
-// largeTopo returns a >= 256^2-node mesh of the given kind, the scale
-// the issue requires the workers matrix to run at.
+// largeTopo returns a >= 2^16-node mesh of the given kind, large
+// enough for Run to take the implicit path unforced.
 func largeTopo(k grid.Kind) grid.Topology {
 	if k == grid.Mesh3D6 {
 		return grid.NewMesh3D6(41, 40, 40) // 65600 nodes
@@ -52,26 +52,27 @@ func TestDifferentialImplicitSmall(t *testing.T) {
 	}
 }
 
-// TestDifferentialShardedSmall forces both the implicit path and the
-// sharded step (every slot shards, even single-transmitter ones) on
-// the small matrix, at several worker counts. This is the cheap,
-// exhaustive proof of the shard-merge determinism argument: collisions,
-// duplicates, lossy drops, down nodes and repair replays all cross the
-// merge, and the result must still be byte-identical to the serial
-// oracle — traces included. Run under -race by the Makefile's race
-// target, which also makes it the data-race check for shardWork.
+// TestDifferentialShardedSmall runs each case of the small matrix on w
+// concurrent goroutines (w = 2, 3, 8), the way the Monte Carlo and
+// sweep worker pools run replications: every goroutine calls Run on the
+// same topology, protocol, source and channel, so they share the
+// adjacency and relay-plan caches and draw arenas from one engine pool.
+// The implicit path is forced, and every concurrent Result and trace
+// must be byte-identical to the serial oracle. Run under -race by the
+// Makefile's race target, which makes it the data-race check for the
+// shared caches and the pool. Nothing is sharded any more: the name and
+// the w2/w3/w8 case IDs are those of the intra-run sharding check this
+// test replaced, kept so the case IDs stay comparable across history.
 func TestDifferentialShardedSmall(t *testing.T) {
 	defer sim.SetLargeGridThresholdForTest(0)()
-	defer sim.SetParallelMinTxsForTest(1)()
 	for _, workers := range []int{2, 3, 8} {
 		for _, k := range grid.Kinds() {
 			topo := diffSmallTopo(k)
 			src := topo.At(topo.NumNodes()/2 + 1)
 			for _, p := range diffProtocols(k) {
 				for name, cfg := range channelConfigs(topo, src) {
-					cfg.Workers = workers
 					t.Run(fmt.Sprintf("w%d/%s/%s/%s", workers, k, p.Name(), name), func(t *testing.T) {
-						diffOne(t, topo, p, src, cfg)
+						concurrentDiff(t, topo, p, src, cfg, workers)
 					})
 				}
 			}
@@ -79,46 +80,82 @@ func TestDifferentialShardedSmall(t *testing.T) {
 	}
 }
 
-// largeDiffOne checks Run against a precomputed reference Result and
-// trace (the reference engine is too slow to rerun per worker count at
-// this scale).
-func largeDiffOne(t *testing.T, topo grid.Topology, p sim.Protocol, src grid.Coord, cfg sim.Config,
-	want *sim.Result, wantTrace []sim.Event) {
+// concurrentDiff runs the reference once, then Run on workers
+// goroutines at once, and requires every Result and trace to equal the
+// reference's.
+func concurrentDiff(t *testing.T, topo grid.Topology, p sim.Protocol, src grid.Coord, cfg sim.Config, workers int) {
 	t.Helper()
-	var gotTrace []sim.Event
-	if wantTrace != nil {
-		cfg.Trace = sim.CollectTrace(&gotTrace)
+	var refTrace []sim.Event
+	refCfg := cfg
+	refCfg.Trace = sim.CollectTrace(&refTrace)
+	want, err := sim.RunReference(topo, p, src, refCfg)
+	if err != nil {
+		t.Fatalf("RunReference: %v", err)
 	}
-	got, err := sim.Run(topo, p, src, cfg)
+	got := make([]*sim.Result, workers)
+	traces := make([][]sim.Event, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wCfg := cfg
+			wCfg.Trace = sim.CollectTrace(&traces[w])
+			got[w], errs[w] = sim.Run(topo, p, src, wCfg)
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: Run: %v", w, errs[w])
+		}
+		if !reflect.DeepEqual(want, got[w]) {
+			t.Fatalf("worker %d: Result differs from reference\nref: %v\nnew: %v", w, want, got[w])
+		}
+		if !reflect.DeepEqual(refTrace, traces[w]) {
+			t.Fatalf("worker %d: trace differs: reference %d events, got %d", w, len(refTrace), len(traces[w]))
+		}
+	}
+}
+
+// largeDiffOne checks one Run against the reference, traces included.
+// Unlike diffOne it skips the pooled-engine repeat and keeps failure
+// messages short: the per-node slices run to 65k entries here.
+func largeDiffOne(t *testing.T, topo grid.Topology, p sim.Protocol, src grid.Coord, cfg sim.Config) {
+	t.Helper()
+	var refTrace, newTrace []sim.Event
+	refCfg, newCfg := cfg, cfg
+	refCfg.Trace = sim.CollectTrace(&refTrace)
+	newCfg.Trace = sim.CollectTrace(&newTrace)
+	want, err := sim.RunReference(topo, p, src, refCfg)
+	if err != nil {
+		t.Fatalf("RunReference: %v", err)
+	}
+	got, err := sim.Run(topo, p, src, newCfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("Result differs from reference at workers=%d\nref: %v\nnew: %v",
-			cfg.Workers, want, got)
+		t.Fatalf("Result differs from reference\nref: %v\nnew: %v", want, got)
 	}
-	if wantTrace != nil && !reflect.DeepEqual(wantTrace, gotTrace) {
-		t.Fatalf("trace differs at workers=%d: reference %d events, got %d",
-			cfg.Workers, len(wantTrace), len(gotTrace))
+	if !reflect.DeepEqual(refTrace, newTrace) {
+		t.Fatalf("trace differs: reference %d events, got %d", len(refTrace), len(newTrace))
 	}
 }
 
-// TestLargeGridWorkersDifferential is the at-scale contract: on >=
-// 256^2-node meshes of all four kinds, the implicit+sharded engine must
-// match sim.RunReference byte-for-byte at Workers 1, 2 and 8. The
-// paper protocol runs the full channel matrix with traces; flooding
-// and jittered flooding run lossless (tracing half a million flooding
-// receptions x 4 engines adds minutes for no extra merge coverage —
-// the sharded-small matrix already crosses every event kind through
-// the merge).
-func TestLargeGridWorkersDifferential(t *testing.T) {
+// TestLargeGridDifferential is the at-scale contract: on >= 2^16-node
+// meshes of all four kinds, the implicit engine must match
+// sim.RunReference byte-for-byte, traces included. The paper protocol
+// runs the channel matrix; flooding and jittered flooding run
+// lossless.
+func TestLargeGridDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-grid differential matrix skipped in -short mode")
 	}
 	if raceEnabled {
-		t.Skip("race instrumentation makes the 65k-node reference runs take minutes; sharded coverage under race comes from TestDifferentialShardedSmall")
+		t.Skip("race instrumentation makes the 65k-node reference runs take minutes")
 	}
-	defer sim.SetParallelMinTxsForTest(32)() // shard even sparse wavefront slots
 	for _, k := range grid.Kinds() {
 		topo := largeTopo(k)
 		src := center(topo)
@@ -128,63 +165,20 @@ func TestLargeGridWorkersDifferential(t *testing.T) {
 				continue // planning-heavy at this scale; lossy and down each covered alone
 			}
 			t.Run(fmt.Sprintf("%s/%s/%s", k, paper.Name(), name), func(t *testing.T) {
-				var refTrace []sim.Event
-				refCfg := cfg
-				refCfg.Trace = sim.CollectTrace(&refTrace)
-				want, err := sim.RunReference(topo, paper, src, refCfg)
-				if err != nil {
-					t.Fatalf("RunReference: %v", err)
-				}
-				for _, w := range []int{1, 2, 8} {
-					wCfg := cfg
-					wCfg.Workers = w
-					largeDiffOne(t, topo, paper, src, wCfg, want, refTrace)
-				}
+				largeDiffOne(t, topo, paper, src, cfg)
 			})
 		}
 		for _, p := range []sim.Protocol{core.NewFlooding(), core.NewJitteredFlooding(8)} {
 			t.Run(fmt.Sprintf("%s/%s/lossless", k, p.Name()), func(t *testing.T) {
-				want, err := sim.RunReference(topo, p, src, sim.Config{})
-				if err != nil {
-					t.Fatalf("RunReference: %v", err)
-				}
-				for _, w := range []int{1, 2, 8} {
-					largeDiffOne(t, topo, p, src, sim.Config{Workers: w}, want, nil)
-				}
+				largeDiffOne(t, topo, p, src, sim.Config{})
 			})
 		}
 	}
 }
 
-// TestLargeGridShardedUnderRace keeps one at-scale sharded run in the
-// race build: flooding on the 256^2 8-neighbor mesh with Workers=8
-// pushes thousands of transmitters through every sharded slot, and the
-// race detector checks the shard workers' memory discipline for real
-// (no reference comparison — Workers=1 of the same engine is the
-// oracle here).
-func TestLargeGridShardedUnderRace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large-grid sharded run skipped in -short mode")
-	}
-	topo := grid.NewMesh2D8(256, 256)
-	src := center(topo)
-	serial, err := sim.Run(topo, core.NewFlooding(), src, sim.Config{Workers: 1})
-	if err != nil {
-		t.Fatalf("serial Run: %v", err)
-	}
-	sharded, err := sim.Run(topo, core.NewFlooding(), src, sim.Config{Workers: 8})
-	if err != nil {
-		t.Fatalf("sharded Run: %v", err)
-	}
-	if !reflect.DeepEqual(serial, sharded) {
-		t.Fatalf("Workers=8 Result differs from Workers=1\nserial: %v\nsharded: %v", serial, sharded)
-	}
-}
-
 // TestLargeGridForcedMaterialized pits the two in-engine paths against
-// each other directly at 256^2: the default implicit path (serial and
-// sharded) must byte-match the forced materialized path — the PR-4
-// engine configuration — on the same mesh.
+// each other directly at 256^2: the default implicit path must
+// byte-match the forced materialized path on the same mesh.
 func TestLargeGridForcedMaterialized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forced-materialized comparison skipped in -short mode")
@@ -200,16 +194,12 @@ func TestLargeGridForcedMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatalf("materialized Run: %v", err)
 	}
-	for _, w := range []int{1, 8} {
-		wCfg := cfg
-		wCfg.Workers = w
-		got, err := sim.Run(topo, p, src, wCfg)
-		if err != nil {
-			t.Fatalf("implicit Run (workers=%d): %v", w, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("implicit path (workers=%d) differs from materialized path", w)
-		}
+	got, err := sim.Run(topo, p, src, cfg)
+	if err != nil {
+		t.Fatalf("implicit Run: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("implicit path differs from materialized path")
 	}
 }
 
@@ -270,27 +260,5 @@ func TestLargeGridAllocBudget(t *testing.T) {
 	})
 	if allocs > 12 {
 		t.Errorf("256^2 mesh: %.1f allocs per steady-state Run, budget is 12", allocs)
-	}
-}
-
-// TestEffectiveWorkers pins the Config.Workers semantics: 0 (and
-// negative) auto-select — serial below the large-grid threshold,
-// capped GOMAXPROCS above it; 1 pins serial; explicit counts pass
-// through.
-func TestEffectiveWorkers(t *testing.T) {
-	if w := sim.EffectiveWorkersForTest(1, 1<<20); w != 1 {
-		t.Errorf("Workers=1 must pin serial, got %d", w)
-	}
-	if w := sim.EffectiveWorkersForTest(5, 64); w != 5 {
-		t.Errorf("explicit Workers=5 must pass through, got %d", w)
-	}
-	if w := sim.EffectiveWorkersForTest(0, 512); w != 1 {
-		t.Errorf("auto below threshold must be serial, got %d", w)
-	}
-	if w := sim.EffectiveWorkersForTest(-3, 512); w != 1 {
-		t.Errorf("negative Workers below threshold must be serial, got %d", w)
-	}
-	if w := sim.EffectiveWorkersForTest(0, 1<<20); w < 1 || w > 8 {
-		t.Errorf("auto above threshold must pick 1..8 workers, got %d", w)
 	}
 }

@@ -59,7 +59,7 @@ func LinksOf(t grid.Topology) []IndexLink {
 //
 // The returned Result and its slices are valid until the next Run,
 // Reset, or mutation on the same session. A Session is not safe for
-// concurrent use; Config.Workers still parallelizes inside each Run.
+// concurrent use.
 type Session struct {
 	topo  grid.Topology
 	proto Protocol

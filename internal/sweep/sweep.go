@@ -47,14 +47,7 @@ import (
 //
 // Config.Trace, if set, is invoked from worker goroutines; it must be
 // safe for concurrent use unless the engine runs with one worker.
-//
-// Config.Workers controls sim.Run's own intra-run shard pool and
-// flows through unchanged. The two pools compose: this engine
-// parallelizes across jobs, the sim engine within one large-grid run.
-// For sweeps of many small meshes leave Config.Workers alone (auto
-// stays serial below the large-grid threshold); for a sweep of a few
-// huge meshes, intra-run sharding is where the parallelism is. Either
-// way results are byte-identical — both levels are deterministic.
+// Each sim.Run is serial; this engine's pool is the only parallelism.
 type Job struct {
 	Topology grid.Topology
 	Protocol sim.Protocol

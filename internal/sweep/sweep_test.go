@@ -98,35 +98,6 @@ func TestErrorIsolation(t *testing.T) {
 	}
 }
 
-// TestConfigWorkersFlowsToRuns pins the two-level composition: a job's
-// Config.Workers reaches sim.Run's intra-run shard pool, and because
-// that pool is deterministic, a sweep over large-grid jobs is
-// byte-identical whichever value a job carries. The 256x256 mesh sits
-// above the engine's large-grid threshold, so Workers=8 exercises the
-// sharded implicit path while Workers=1 pins the serial one.
-func TestConfigWorkersFlowsToRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large-grid sweep in -short mode")
-	}
-	topo := grid.NewMesh2D8(256, 256)
-	proto := core.ForTopology(grid.Mesh2D8)
-	src := topo.At(topo.NumNodes() / 2)
-	job := func(w int) sweep.Job {
-		return sweep.Job{Topology: topo, Protocol: proto, Source: src, Config: sim.Config{Workers: w}}
-	}
-	outs, err := sweep.New(2).Run(context.Background(), []sweep.Job{job(1), job(8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := sweep.Results(outs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Error("Config.Workers=1 and =8 jobs diverged through the sweep engine")
-	}
-}
-
 func TestResultsNamesFirstFailedJob(t *testing.T) {
 	topo := grid.NewMesh2D4(4, 3)
 	proto := core.NewMesh4Protocol()

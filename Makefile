@@ -27,7 +27,7 @@ race:
 bench:
 	$(GO) test ./internal/sweep -bench=Sweep -benchtime=3x -run=^$$
 	$(GO) test ./internal/service -bench=Served -benchtime=100x -run=^$$
-	$(GO) test ./internal/mc -bench=MCReliability -benchtime=3x -run=^$$
+	$(GO) test ./internal/mc -bench='^BenchmarkMCReliability(Point)?$$' -benchmem -benchtime=3x -run=^$$
 	$(GO) test ./internal/life -bench=Lifetime -benchtime=3x -run=^$$
 
 # Engine-overhaul measurement pipeline. bench/baseline.txt pins the

@@ -3,8 +3,9 @@ package mc_test
 // Macro-benchmark of the Monte Carlo reliability engine: one full
 // study — replications x (loss rate x failure rate) grid — through
 // spec validation, job fan-out, the sweep pool and aggregation. This
-// is the workload whose per-run constant factor the engine overhaul
-// attacks: every replication is one sim.Run. Run:
+// is the workload whose per-replication constant factor the worker
+// sessions attack: every replication is one Session.Run between a
+// failure sample and its restore. Run:
 //
 //	go test ./internal/mc -bench=MC -benchmem -run=^$
 
@@ -19,7 +20,7 @@ import (
 )
 
 // BenchmarkMCReliability runs a 20-replication study over a
-// 3 loss x 2 failure grid on a 16x8 2D-4 mesh (120 sim.Runs per
+// 3 loss x 2 failure grid on a 16x8 2D-4 mesh (120 replications per
 // iteration) with one worker, isolating per-run engine cost from
 // scheduling noise.
 func BenchmarkMCReliability(b *testing.B) {
@@ -64,6 +65,29 @@ func BenchmarkMCReliabilityCanonical(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mc.Run(context.Background(), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMCReliabilityPoint is one jobs-reliability grid point as the
+// job coordinator runs it: mc.RunPoint on the 512-node 2D-4 32x16 mesh,
+// 64 replications at loss 0.1 and failure 0.1, default workers. Its
+// allocations per op are the point's share of the jobs-reliability
+// workload's alloc_kib_per_req.
+func BenchmarkMCReliabilityPoint(b *testing.B) {
+	topo := grid.NewMesh2D4(32, 16)
+	spec := mc.Spec{
+		Topology:     topo,
+		Protocol:     core.ForTopology(grid.Mesh2D4),
+		Source:       grid.C2(16, 8),
+		Seed:         1,
+		Replications: 64,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := mc.RunPoint(context.Background(), spec, 0.1, 0.1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,15 +11,27 @@
 // and node failures come from counter-based draws (internal/sim's
 // keyed PRNG), never from shared stateful generators, so neither the
 // worker count nor completion order can shift a draw. Each replication
-// is one scalar sim.Run, fanned across the internal/sweep worker pool
-// as its own task and written into its own slot; every aggregate is
-// accumulated afterwards in (point, replication) order, so an mc
-// report is byte-identical for any -workers value — the stochastic
-// extension of the sweep engine's parallel==serial contract, proven by
-// the differential tests and pinned by the golden studies in this
-// package. Replication seeds are shared across grid points (common
+// is one broadcast on a reused sim.Session (see Sessions below), fanned
+// across the internal/sweep worker pool as its own task and written
+// into its own slot; every aggregate is accumulated afterwards in
+// (point, replication) order, so an mc report is byte-identical for any
+// -workers value — the stochastic extension of the sweep engine's
+// parallel==serial contract, proven by the differential tests and
+// pinned by the golden studies in this package. Replication seeds are shared across grid points (common
 // random numbers), which couples the curves: per seed, raising the
 // loss rate can only remove deliveries.
+//
+// # Sessions
+//
+// A study keeps one sim.Session per busy pool worker, bound to the
+// study's topology, protocol and base config, with the base Down and
+// DownLinks lists applied once. A replication fails its sampled nodes
+// with SetNodeDown, runs under its seeded loss channel, copies the
+// Record counters out of the session's Result arena and revives the
+// nodes with SetNodeUp. A replication thus allocates no Result and
+// copies no adjacency, and the session graph equals the one sim.Run
+// builds for the merged Down list, so the records are the one-shot
+// path's byte for byte.
 package mc
 
 import (
@@ -27,6 +39,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"wsnbcast/internal/grid"
 	"wsnbcast/internal/sim"
@@ -198,17 +211,78 @@ func RunPoint(ctx context.Context, spec Spec, loss, failure float64) (Point, err
 	return rep.Points[0], nil
 }
 
-// replicate runs replication rep of one grid point through scalar
-// sim.Run: the sampled failures join the base config's Down list and
-// the seeded Bernoulli loss channel replaces its Channel.
-func replicate(spec Spec, loss, fail float64, rep int, seed uint64) (Record, error) {
+// worker is one pool worker's replication context: a session holding
+// the study's base graph, and the scratch list of the nodes the
+// current replication failed.
+type worker struct {
+	sess   *sim.Session
+	failed []int32
+}
+
+// newWorker binds a session to the spec and applies the base
+// Config.Down and Config.DownLinks, checking them in sim.Run's order
+// and with its messages so a bad list fails every replication exactly
+// as the one-shot path did.
+func newWorker(spec Spec) (*worker, error) {
+	t := spec.Topology
 	cfg := spec.Config
-	if fail > 0 {
-		sampled := sim.SampleFailures(spec.Topology, spec.Source, seed, fail)
-		cfg.Down = append(append([]grid.Coord(nil), spec.Config.Down...), sampled...)
+	cfg.Down, cfg.DownLinks = nil, nil
+	sess, err := sim.NewSession(t, spec.Protocol, cfg)
+	if err != nil {
+		return nil, err
 	}
-	cfg.Channel = sim.NewBernoulliLoss(seed, loss)
-	res, err := sim.Run(spec.Topology, spec.Protocol, spec.Source, cfg)
+	for _, c := range spec.Config.Down {
+		if !t.Contains(c) {
+			return nil, fmt.Errorf("sim: down node %s outside mesh", c)
+		}
+		_ = sess.SetNodeDown(t.Index(c)) // in the mesh: checked above
+	}
+	if sess.NodeDown(t.Index(spec.Source)) {
+		return nil, fmt.Errorf("sim: source %s is down", spec.Source)
+	}
+	if len(spec.Config.DownLinks) > 0 {
+		cut := make(map[sim.IndexLink]bool, len(spec.Config.DownLinks))
+		for _, lk := range spec.Config.DownLinks {
+			if !t.Contains(lk.A) || !t.Contains(lk.B) {
+				return nil, fmt.Errorf("sim: down link %s-%s outside %s mesh", lk.A, lk.B, t.Kind())
+			}
+			a, b := int32(t.Index(lk.A)), int32(t.Index(lk.B))
+			cut[sim.IndexLink{A: min(a, b), B: max(a, b)}] = true
+		}
+		// Pairs that are not lattice links match no id: no-ops, as in
+		// sim.Run.
+		for id := 0; id < sess.NumLinks(); id++ {
+			if cut[sess.Link(id)] {
+				_ = sess.SetLinkDown(id) // id < NumLinks
+			}
+		}
+	}
+	return &worker{sess: sess}, nil
+}
+
+// replicate runs replication rep of one grid point on the worker's
+// session: the sampled failures that are not already down join the
+// base graph, the seeded Bernoulli loss channel replaces the base
+// Channel, and once the counters are copied out the failed nodes are
+// revived, restoring the base graph for the next replication.
+func (w *worker) replicate(spec Spec, loss, fail float64, rep int, seed uint64) (Record, error) {
+	w.failed = sim.AppendFailures(w.failed[:0], spec.Topology, spec.Source, seed, fail)
+	n := 0
+	for _, i := range w.failed {
+		if !w.sess.NodeDown(int(i)) { // base-down nodes stay down
+			_ = w.sess.SetNodeDown(int(i)) // sampled indices are in the mesh
+			w.failed[n] = i
+			n++
+		}
+	}
+	w.failed = w.failed[:n]
+	defer func() {
+		for _, i := range w.failed {
+			_ = w.sess.SetNodeUp(int(i))
+		}
+	}()
+	w.sess.SetChannel(sim.NewBernoulliLoss(seed, loss))
+	res, err := w.sess.Run(spec.Source)
 	if err != nil {
 		return Record{}, err
 	}
@@ -221,6 +295,34 @@ func replicate(spec Spec, loss, fail float64, rep int, seed uint64) (Record, err
 		Collisions: res.Collisions, Repairs: res.Repairs,
 		EnergyJ: res.EnergyJ,
 	}, nil
+}
+
+// workerList is a study's free list of worker sessions. A task takes one,
+// or builds one when all are busy, and returns it when done, so a
+// study builds at most one session per busy pool worker and every
+// session serves every grid point.
+type workerList struct {
+	spec Spec
+	mu   sync.Mutex
+	free []*worker
+}
+
+func (ws *workerList) get() (*worker, error) {
+	ws.mu.Lock()
+	if n := len(ws.free); n > 0 {
+		w := ws.free[n-1]
+		ws.free = ws.free[:n-1]
+		ws.mu.Unlock()
+		return w, nil
+	}
+	ws.mu.Unlock()
+	return newWorker(ws.spec)
+}
+
+func (ws *workerList) put(w *worker) {
+	ws.mu.Lock()
+	ws.free = append(ws.free, w)
+	ws.mu.Unlock()
 }
 
 // Run executes the study: Replications seeded replications per grid
@@ -256,11 +358,17 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 	// record slot; the slots are already in point-major, replication-
 	// minor order, so they become the report's Records as they stand.
 	recs := make([]Record, len(points)*spec.Replications)
+	ws := &workerList{spec: spec}
 	fns := make([]func() error, len(recs))
 	for i := range fns {
-		fns[i] = func() (err error) {
+		fns[i] = func() error {
+			w, err := ws.get()
+			if err != nil {
+				return err
+			}
+			defer ws.put(w)
 			pt, r := points[i/spec.Replications], i%spec.Replications
-			recs[i], err = replicate(spec, pt.loss, pt.fail, r, seeds[r])
+			recs[i], err = w.replicate(spec, pt.loss, pt.fail, r, seeds[r])
 			return err
 		}
 	}

@@ -739,28 +739,35 @@ func (s Scenario) lifeSpec(workers int, g sweep.Gauge) (life.Spec, error) {
 	}, nil
 }
 
-// LifetimeCellCount returns the study's cell count without running
-// anything — the job planner and admission control size work with it.
-func (s Scenario) LifetimeCellCount() (int, error) {
+// LifetimeBounds compiles the document once and returns the lifetime
+// study's cell count and per-cell round bound without running anything
+// — admission control sizes work with both. Burn-in steps count toward
+// the round bound: they run no broadcasts but still walk the whole
+// link table per step.
+func (s Scenario) LifetimeBounds() (cells, rounds int, err error) {
 	spec, err := s.lifeSpec(0, nil)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return spec.NumCells(), nil
+	rounds = math.MaxInt // saturate: both terms are >= 0
+	if spec.BurnInRounds <= math.MaxInt-spec.MaxRounds {
+		rounds = spec.MaxRounds + spec.BurnInRounds
+	}
+	return spec.NumCells(), rounds, nil
 }
 
-// LifetimeMaxRounds returns the study's per-cell round bound, for
-// admission control. Burn-in steps count toward the bound: they run
-// no broadcasts but still walk the whole link table per step.
+// LifetimeCellCount returns the study's cell count (see
+// LifetimeBounds) — the job planner sizes work with it.
+func (s Scenario) LifetimeCellCount() (int, error) {
+	cells, _, err := s.LifetimeBounds()
+	return cells, err
+}
+
+// LifetimeMaxRounds returns the study's per-cell round bound (see
+// LifetimeBounds).
 func (s Scenario) LifetimeMaxRounds() (int, error) {
-	spec, err := s.lifeSpec(0, nil)
-	if err != nil {
-		return 0, err
-	}
-	if spec.BurnInRounds > math.MaxInt-spec.MaxRounds {
-		return math.MaxInt, nil // saturate: both terms are >= 0
-	}
-	return spec.MaxRounds + spec.BurnInRounds, nil
+	_, rounds, err := s.LifetimeBounds()
+	return rounds, err
 }
 
 // LifetimeReport runs the whole lifetime study, sharding cells across

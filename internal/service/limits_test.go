@@ -3,9 +3,12 @@ package service
 import (
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"wsnbcast/internal/scenario"
 )
 
 // rejectCase is a hostile or contradictory document, every endpoint
@@ -206,5 +209,49 @@ func TestWithinLimit(t *testing.T) {
 		if got := withinLimit(c.limit, c.factors...); got != c.want {
 			t.Errorf("withinLimit(%d, %v) = %v, want %v", c.limit, c.factors, got, c.want)
 		}
+	}
+}
+
+// allocatedBytes returns the bytes f allocates per call, averaged over
+// n calls.
+func allocatedBytes(n int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// An LRU hit answers before checkLimits compiles the document. On an
+// irregular mesh Compile builds the whole adjacency, so a hit that
+// compiled would allocate at least one Compile's worth; the served hit
+// must stay under half of it.
+func TestCacheHitSkipsCompile(t *testing.T) {
+	const doc = `{"topology": {"kind": "irregular", "m": 120, "n": 120, "radius": 1.5}, "protocol": "flooding", "sources": [{"x": 1, "y": 1}]}`
+	srv := New(Config{})
+	if w := post(srv, "/v1/run", doc); w.Code != http.StatusOK {
+		t.Fatalf("miss: status = %d, body %s", w.Code, w.Body)
+	}
+	hit := func() {
+		if w := post(srv, "/v1/run", doc); w.Header().Get("X-Cache") != "hit" {
+			t.Fatalf("repeat: X-Cache = %q, status %d", w.Header().Get("X-Cache"), w.Code)
+		}
+	}
+	hit()
+	sc, err := scenario.Load(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc = sc.Canonical()
+	compile := allocatedBytes(3, func() {
+		if _, _, _, err := sc.Compile(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	served := allocatedBytes(3, hit)
+	if served*2 > compile {
+		t.Errorf("an LRU hit allocates %.0f B against %.0f B for one Compile: the hit path compiles", served, compile)
 	}
 }

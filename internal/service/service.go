@@ -332,8 +332,12 @@ func prepLifetime(sc scenario.Scenario) error {
 }
 
 // handleSim is the shared request path of the three simulation
-// endpoints: decode and canonicalize, validate, consult the cache,
-// deduplicate in flight, admit to the pool, execute, cache, respond.
+// endpoints: decode and canonicalize, check the request shape, consult
+// the LRU, enforce the limits, consult the store, deduplicate in
+// flight, admit to the pool, execute, cache, respond. The LRU answers
+// before checkLimits compiles the document: every entry in it was
+// computed by this process after passing the same limits, so a hit
+// never rebuilds the topology.
 func (s *Server) handleSim(endpoint string, prep func(scenario.Scenario) error, exec func(ctx context.Context, sc scenario.Scenario) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -353,10 +357,6 @@ func (s *Server) handleSim(endpoint string, prep func(scenario.Scenario) error, 
 			s.fail(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if status, msg := s.checkLimits(sc); status != 0 {
-			s.fail(w, status, msg)
-			return
-		}
 		timeout, err := s.requestTimeout(r)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, err.Error())
@@ -371,6 +371,10 @@ func (s *Server) handleSim(endpoint string, prep func(scenario.Scenario) error, 
 		if body, ok := s.cache.Get(key); ok {
 			s.metrics.cacheHits.Add(1)
 			s.writeBody(w, "hit", body)
+			return
+		}
+		if status, msg := s.checkLimits(sc); status != 0 {
+			s.fail(w, status, msg)
 			return
 		}
 		s.metrics.cacheMisses.Add(1)
@@ -432,9 +436,9 @@ func (s *Server) handleSim(endpoint string, prep func(scenario.Scenario) error, 
 }
 
 // checkLimits enforces the size caps shared by the synchronous
-// endpoints and job submission on a canonicalized scenario. It returns
-// (0, "") for an admissible document, else the HTTP status and
-// message to reject with.
+// endpoints and job submission on a canonicalized scenario, compiling
+// the document once. It returns (0, "") for an admissible document,
+// else the HTTP status and message to reject with.
 func (s *Server) checkLimits(sc scenario.Scenario) (int, string) {
 	// The node cap applies to the document's dimensions, before Compile
 	// builds anything: an irregular mesh materializes its whole
@@ -446,7 +450,17 @@ func (s *Server) checkLimits(sc scenario.Scenario) (int, string) {
 		return http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("mesh too large: %d x %d x %d nodes (limit %d)", t.M, t.N, l, s.cfg.MaxNodes)
 	}
-	if _, _, _, err := sc.Compile(); err != nil {
+	// A lifetime document compiles inside LifetimeBounds; Compile
+	// rejects a lifetime section combined with reliability, so the
+	// branches below never both apply.
+	var cells, rounds int
+	var err error
+	if sc.Lifetime != nil {
+		cells, rounds, err = sc.LifetimeBounds()
+	} else {
+		_, _, _, err = sc.Compile()
+	}
+	if err != nil {
 		return http.StatusBadRequest, err.Error()
 	}
 	if rel := sc.Reliability; rel != nil {
@@ -462,14 +476,6 @@ func (s *Server) checkLimits(sc scenario.Scenario) (int, string) {
 		// Every lifetime round is one full broadcast, so cells x
 		// max_rounds is the study's worst-case simulation count. Both
 		// factors are canonical here.
-		cells, err := sc.LifetimeCellCount()
-		if err != nil {
-			return http.StatusBadRequest, err.Error()
-		}
-		rounds, err := sc.LifetimeMaxRounds()
-		if err != nil {
-			return http.StatusBadRequest, err.Error()
-		}
 		if !withinLimit(s.cfg.MaxLifetimeRounds, cells, rounds) {
 			return http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("lifetime study too large: %d cells x %d rounds (limit %d broadcasts)",

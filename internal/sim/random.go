@@ -131,21 +131,29 @@ func ChurnUnit(seed uint64, round int, link int32) float64 {
 // uniforms are shared across rates: a node down at rate p stays down
 // at every p' > p under the same seed.
 func SampleFailures(t grid.Topology, src grid.Coord, seed uint64, rate float64) []grid.Coord {
+	var down []grid.Coord
+	for _, i := range AppendFailures(nil, t, src, seed, rate) {
+		down = append(down, t.At(int(i)))
+	}
+	return down
+}
+
+// AppendFailures appends the dense indices of the nodes SampleFailures
+// fails to dst, in ascending order, and returns the extended slice —
+// the form a Session's SetNodeDown takes, with no Coord round-trip and
+// no allocation once dst has grown.
+func AppendFailures(dst []int32, t grid.Topology, src grid.Coord, seed uint64, rate float64) []int32 {
 	if rate < 0 || rate > 1 {
 		panic(fmt.Sprintf("sim: failure rate %g outside [0, 1]", rate))
 	}
 	if rate <= 0 {
-		return nil
+		return dst
 	}
-	var down []grid.Coord
 	srcIdx := t.Index(src)
 	for i := 0; i < t.NumNodes(); i++ {
-		if i == srcIdx {
-			continue
-		}
-		if keyedUnit(seed, domainFailure, uint64(i)) < rate {
-			down = append(down, t.At(i))
+		if i != srcIdx && keyedUnit(seed, domainFailure, uint64(i)) < rate {
+			dst = append(dst, int32(i))
 		}
 	}
-	return down
+	return dst
 }

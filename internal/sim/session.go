@@ -40,8 +40,9 @@ func LinksOf(t grid.Topology) []IndexLink {
 // on every call, a Session applies each state change exactly once, in
 // dense-index space, when it happens:
 //
-//   - SetNodeDown nils the node's row and splices it out of its
-//     neighbors' rows — O(deg²), not O(V·deg);
+//   - SetNodeDown empties the node's row and splices it out of its
+//     neighbors' rows — O(deg²), not O(V·deg) — and SetNodeUp
+//     refilters the same rows back;
 //   - SetLinkDown / SetLinkUp edit exactly the two endpoint rows;
 //   - compiled relay plans are cached per source for the session's
 //     lifetime (a plan is a pure function of (topology, protocol,
@@ -57,6 +58,11 @@ func LinksOf(t grid.Topology) []IndexLink {
 // byte-identical to the one-shot path (locked by the differential
 // tests).
 //
+// Every live row is a capacity-capped view of one flat backing array
+// whose capacity is the pristine row length, so a row is emptied,
+// spliced and refilled in place and no mutation — Reset included —
+// allocates.
+//
 // The returned Result and its slices are valid until the next Run,
 // Reset, or mutation on the same session. A Session is not safe for
 // concurrent use.
@@ -67,7 +73,7 @@ type Session struct {
 	v     int
 
 	full [][]int32 // pristine adjacency, never mutated (may be cache-shared)
-	adj  [][]int32 // live adjacency: private rows, mutated incrementally
+	adj  [][]int32 // live adjacency: private rows (cap = pristine length), mutated in place
 
 	down  []bool // failed-node mask, allocated on first SetNodeDown
 	downN int
@@ -144,11 +150,10 @@ func (s *Session) LinkDown(id int) bool {
 }
 
 // SetNodeDown fails the node at dense index i: it is spliced out of
-// its neighbors' rows (O(deg²)) and its own row is dropped, exactly
-// the graph sim.Run builds for a Config.Down entry. Idempotent; node
-// failures are permanent for the life of the session (Reset revives
-// everything). The splice walks the pristine row, so links already cut
-// by SetLinkDown are simply no-ops.
+// its neighbors' rows (O(deg²)) and its own row is emptied, exactly
+// the graph sim.Run builds for a Config.Down entry. Idempotent;
+// SetNodeUp or Reset revives the node. The splice walks the pristine
+// row, so links already cut by SetLinkDown are simply no-ops.
 func (s *Session) SetNodeDown(i int) error {
 	if i < 0 || i >= s.v {
 		return fmt.Errorf("sim: node index %d outside %d-node mesh", i, s.v)
@@ -164,9 +169,36 @@ func (s *Session) SetNodeDown(i int) error {
 	for _, nb := range s.full[i] {
 		s.adj[nb] = removeNeighbor(s.adj[nb], int32(i))
 	}
-	s.adj[i] = nil
+	s.adj[i] = s.adj[i][:0]
 	return nil
 }
+
+// SetNodeUp revives the node at dense index i, the inverse of
+// SetNodeDown: each live neighbor's row and its own row are refiltered
+// from the pristine rows against the current node and link state, the
+// way SetLinkUp rebuilds its endpoints — O(deg²), allocation-free, and
+// order-preserving, so the graph equals the one sim.Run builds for the
+// remaining Down list. Idempotent.
+func (s *Session) SetNodeUp(i int) error {
+	if i < 0 || i >= s.v {
+		return fmt.Errorf("sim: node index %d outside %d-node mesh", i, s.v)
+	}
+	if !s.NodeDown(i) {
+		return nil
+	}
+	s.down[i] = false
+	s.downN--
+	for _, nb := range s.full[i] {
+		s.rebuildRow(nb)
+	}
+	s.rebuildRow(int32(i))
+	return nil
+}
+
+// SetChannel sets the loss channel of the following Runs (nil: the
+// error-free channel), replacing Config.Channel. The channel is
+// configuration, not graph state: mutations and Reset keep it.
+func (s *Session) SetChannel(ch Channel) { s.cfg.Channel = ch }
 
 // SetLinkDown cuts link id (a LinksOf index): both directions leave
 // the radio graph by editing exactly the two endpoint rows. Idempotent.
@@ -210,14 +242,14 @@ func (s *Session) SetLinkUp(id int) error {
 // capacity equals the pristine length.
 func (s *Session) rebuildRow(i int32) {
 	if s.down != nil && s.down[i] {
-		return // failed nodes keep their nil row
+		return // failed nodes keep their empty row
 	}
 	row := s.adj[i][:0]
 	for k, nb := range s.full[i] {
 		if s.down != nil && s.down[nb] {
 			continue
 		}
-		if s.linkDown[s.rowLink[i][k]] {
+		if s.linkDown != nil && s.linkDown[s.rowLink[i][k]] {
 			continue
 		}
 		row = append(row, nb)
@@ -273,12 +305,15 @@ func (s *Session) ensureLinks() {
 	s.linkDown = make([]bool, len(s.links))
 }
 
-// Reset revives every node and link, restoring the pristine graph.
-// Plans, arenas and the link table are retained; a restored checkpoint
-// replays its SetNodeDown/SetLinkDown calls on top of a Reset session
-// to reconstruct the exact live graph.
+// Reset revives every node and link, restoring the pristine graph by
+// refilling each live row in place from its pristine row (no
+// allocation). Plans, arenas, the channel and the link table are
+// retained; a restored checkpoint replays its SetNodeDown/SetLinkDown
+// calls on top of a Reset session to reconstruct the exact live graph.
 func (s *Session) Reset() {
-	s.adj = copyAdjacency(s.full)
+	for i, row := range s.full {
+		s.adj[i] = append(s.adj[i][:0], row...)
+	}
 	if s.down != nil {
 		clear(s.down)
 	}

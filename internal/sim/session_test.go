@@ -11,10 +11,12 @@ package sim_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"wsnbcast/internal/core"
 	"wsnbcast/internal/grid"
+	"wsnbcast/internal/radio"
 	"wsnbcast/internal/sim"
 )
 
@@ -51,6 +53,14 @@ func (h *sessionHarness) nodeDown(i int) {
 		h.t.Fatal(err)
 	}
 	h.down[i] = true
+}
+
+func (h *sessionHarness) nodeUp(i int) {
+	h.t.Helper()
+	if err := h.sess.SetNodeUp(i); err != nil {
+		h.t.Fatal(err)
+	}
+	delete(h.down, i)
 }
 
 func (h *sessionHarness) linkDown(id int) {
@@ -203,6 +213,90 @@ func TestSessionDifferentialChurnStorm(t *testing.T) {
 			}
 		}
 		h.check(topo.At(topo.NumNodes()/2), "storm step")
+	}
+}
+
+// Random SetNodeDown/SetNodeUp sequences — the Monte Carlo replication
+// pattern, where each replication fails a sample and revives it — on
+// every canonical mesh and an irregular one, with the loss channel
+// switched through SetChannel between steps. After every step the
+// session must equal sim.Run handed the remaining Down list: result
+// bytes and traces (check), and the down mask behind IsDown and
+// Validate.
+func TestSessionNodeUpDifferential(t *testing.T) {
+	type mesh struct {
+		name string
+		topo grid.Topology
+		p    sim.Protocol
+	}
+	var meshes []mesh
+	for _, k := range grid.Kinds() {
+		meshes = append(meshes, mesh{k.String(), grid.Canonical(k), core.ForTopology(k)})
+	}
+	meshes = append(meshes, mesh{"irregular", grid.NewIrregular(12, 10, 0.3, 1.6, 7), core.NewFlooding()})
+	for _, m := range meshes {
+		m := m
+		t.Run(m.name, func(t *testing.T) {
+			t.Parallel()
+			v := m.topo.NumNodes()
+			src := m.topo.At(v / 2)
+			h := newSessionHarness(t, m.topo, m.p, sim.Config{})
+			rng := uint64(len(m.name))
+			next := func(n int) int {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				return int((rng >> 33) % uint64(n))
+			}
+			for step := 0; step < 10; step++ {
+				for f := next(5); f >= 0; f-- {
+					i := next(v)
+					switch {
+					case i == v/2:
+					case h.down[i]:
+						h.nodeUp(i)
+					default:
+						h.nodeDown(i)
+					}
+				}
+				if step == 7 { // revive everything: the mask must go back to nil
+					for i := range h.down {
+						h.nodeUp(i)
+					}
+				}
+				var ch sim.Channel
+				if step%2 == 1 {
+					ch = sim.NewBernoulliLoss(uint64(step), 0.1)
+				}
+				h.sess.SetChannel(ch)
+				h.cfg.Channel = ch
+				h.check(src, "step")
+				h.checkDownMask(src)
+			}
+		})
+	}
+}
+
+// checkDownMask compares what the Result's down mask exposes — IsDown
+// per node and Validate's live-degree accounting — between the session
+// and the equivalent one-shot run.
+func (h *sessionHarness) checkDownMask(src grid.Coord) {
+	h.t.Helper()
+	want, err := sim.Run(h.topo, h.proto, src, h.oneShotConfig())
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	got, err := h.sess.Run(src)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	for i := 0; i < h.topo.NumNodes(); i++ {
+		if got.IsDown(i) != want.IsDown(i) {
+			h.t.Fatalf("IsDown(%d): session %v, sim.Run %v", i, got.IsDown(i), want.IsDown(i))
+		}
+	}
+	model, pkt := radio.Default(), radio.CanonicalPacket()
+	gerr, werr := got.Validate(h.topo, model, pkt), want.Validate(h.topo, model, pkt)
+	if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+		h.t.Fatalf("Validate: session %v, sim.Run %v", gerr, werr)
 	}
 }
 
@@ -428,5 +522,16 @@ func TestSessionAllocationBudget(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("steady-state session round allocates %.1f/op, budget is 2", allocs)
+	}
+
+	// Mutations and Reset refill rows in place: no allocation at all.
+	allocs = testing.AllocsPerRun(100, func() {
+		_ = sess.SetNodeDown(40)
+		_ = sess.SetNodeUp(40)
+		_ = sess.SetNodeDown(41)
+		sess.Reset()
+	})
+	if allocs != 0 {
+		t.Errorf("SetNodeDown/SetNodeUp/Reset allocate %.1f/op, budget is 0", allocs)
 	}
 }

@@ -22,12 +22,14 @@ race:
 	$(GO) test -race ./...
 
 # Sweep-engine scaling benchmarks (plus the per-table harness
-# benchmarks at the repo root) and the HTTP serving hot path (cold vs
-# cached on the 512-node canonical mesh).
+# benchmarks at the repo root), the HTTP serving hot path (cold vs
+# cached on the 512-node canonical mesh), and a synchronous Monte Carlo
+# reliability document run as its plan (one mc.RunPoint per grid point).
 bench:
 	$(GO) test ./internal/sweep -bench=Sweep -benchtime=3x -run=^$$
 	$(GO) test ./internal/service -bench=Served -benchtime=100x -run=^$$
 	$(GO) test ./internal/mc -bench='^BenchmarkMCReliability(Point)?$$' -benchmem -benchtime=3x -run=^$$
+	$(GO) test ./internal/scenario -bench='^BenchmarkPlanReliability$$' -benchmem -benchtime=3x -run=^$$
 	$(GO) test ./internal/life -bench=Lifetime -benchtime=3x -run=^$$
 
 # Engine-overhaul measurement pipeline. bench/baseline.txt pins the
@@ -94,7 +96,11 @@ vet:
 # because the race target below is what runs them under the race
 # detector. TestLargeGridDifferential is the only at-scale check of
 # sim.Run against the test-only reference engine; the race target
-# skips it, so the plain test target is its only run.
+# skips it, so the plain test target is its only run. TestPlanGolden
+# pins the bytes of every request shape now that the synchronous and
+# job paths run one plan and can no longer check each other, and
+# TestDifferentialWorkerCounts checks the job path's store round trip
+# and merge against the in-process run.
 session-guard:
 	@$(GO) test ./internal/sim -run='^$$' -list='^TestSessionDifferentialAllKinds$$' | grep -q '^TestSessionDifferentialAllKinds$$' || \
 		{ echo "verify: TestSessionDifferentialAllKinds missing from internal/sim"; exit 1; }
@@ -104,6 +110,10 @@ session-guard:
 		{ echo "verify: TestSessionCheckpointResumeMatchesReference missing from internal/life"; exit 1; }
 	@$(GO) test ./internal/sim -run='^$$' -list='^TestLargeGridDifferential$$' | grep -q '^TestLargeGridDifferential$$' || \
 		{ echo "verify: TestLargeGridDifferential missing from internal/sim"; exit 1; }
+	@$(GO) test ./internal/scenario -run='^$$' -list='^TestPlanGolden$$' | grep -q '^TestPlanGolden$$' || \
+		{ echo "verify: TestPlanGolden missing from internal/scenario"; exit 1; }
+	@$(GO) test ./internal/jobs -run='^$$' -list='^TestDifferentialWorkerCounts$$' | grep -q '^TestDifferentialWorkerCounts$$' || \
+		{ echo "verify: TestDifferentialWorkerCounts missing from internal/jobs"; exit 1; }
 
 # Short fuzz smoke — the corpus seeds plus a few seconds of mutation
 # per target; CI runs this on every push. go test -fuzz takes one
@@ -141,3 +151,4 @@ jobs-e2e:
 golden:
 	$(GO) test ./internal/experiments -run Golden -update
 	$(GO) test ./internal/mc -run Golden -update
+	$(GO) test ./internal/scenario -run PlanGolden -update

@@ -249,8 +249,12 @@ func runStudy(o options, w io.Writer, kinds []grid.Kind) error {
 				PNew:         o.pnew,
 				BurnInRounds: o.burnin,
 			},
-		}.Canonical()
-		rep, err := sc.LifetimeReport(context.Background(), o.workers, nil)
+		}
+		pl, err := scenario.NewPlan(scenario.KindLifetime, sc)
+		if err != nil {
+			return err
+		}
+		rep, err := pl.Run(context.Background(), o.workers, nil)
 		if err != nil {
 			return err
 		}

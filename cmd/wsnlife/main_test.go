@@ -60,8 +60,12 @@ func TestStudyJSONMatchesService(t *testing.T) {
 			Strategies: []string{"static", "residual"},
 			ChurnRates: []float64{0},
 		},
-	}.Canonical()
-	rep, err := sc.LifetimeReport(context.Background(), 4, nil)
+	}
+	pl, err := scenario.NewPlan(scenario.KindLifetime, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := pl.Run(context.Background(), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,7 +269,11 @@ func runStored(o options, w io.Writer, topo grid.Topology, p sim.Protocol, src g
 	defer st.Close()
 	body, ok := st.Get(key)
 	if !ok {
-		rep, err := sc.RunContext(context.Background())
+		pl, err := scenario.NewPlan(scenario.KindRun, sc)
+		if err != nil {
+			return err
+		}
+		rep, err := pl.Run(context.Background(), 0, nil)
 		if err != nil {
 			return err
 		}

@@ -212,7 +212,11 @@ func runStored(w *csv.Writer, ks []grid.Kind, protoName string, m, n, l, workers
 		}
 		body, ok := st.Get(key)
 		if !ok {
-			rep, err := sc.SweepReport(context.Background(), workers, nil)
+			pl, err := scenario.NewPlan(scenario.KindSweep, sc)
+			if err != nil {
+				return err
+			}
+			rep, err := pl.Run(context.Background(), workers, nil)
 			if err != nil {
 				return err
 			}

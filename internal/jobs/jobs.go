@@ -7,14 +7,15 @@
 // # Model
 //
 // A job is (kind, canonical scenario): the same document the
-// synchronous endpoints accept, decomposed into independent grid
-// points (points.go). The job id is the SHA-256 of that identity, so
-// submission is idempotent — re-submitting a running, finished or
-// crashed study attaches to the same job. Points execute on N worker
-// loops over contiguous shards with work-stealing: a worker that
-// drains its own shard steals from the tail of the fullest remaining
-// shard, so stragglers cannot idle the pool. A point that fails
-// transiently retries with exponential backoff before failing the job.
+// synchronous endpoints accept, executed as the kind's scenario.Plan
+// one independent grid point at a time. The job id is the SHA-256 of
+// that identity, so submission is idempotent — re-submitting a
+// running, finished or crashed study attaches to the same job. Points
+// execute on N worker loops over contiguous shards with work-stealing:
+// a worker that drains its own shard steals from the tail of the
+// fullest remaining shard, so stragglers cannot idle the pool. A point
+// that fails transiently retries with exponential backoff before
+// failing the job.
 //
 // # Durability
 //
@@ -32,8 +33,10 @@
 // # Determinism
 //
 // Results are byte-identical to the synchronous serving path at any
-// worker count, steal pattern, retry history or restart point: see the
-// contract spelled out in points.go.
+// worker count, steal pattern, retry history or restart point: both run
+// the same scenario.Plan, and a job only adds the JSON round trip of
+// each point's value through the store (see the contract spelled out
+// in internal/scenario/plan.go).
 package jobs
 
 import (
@@ -154,10 +157,13 @@ type job struct {
 	kind    string
 	sc      scenario.Scenario
 	scJSON  []byte
-	pl      plan
+	total   int
 	created time.Time
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// pl is the compiled plan while the job can still run; a terminal
+	// job drops it, so its mesh is not held for the job table's life.
+	pl       *scenario.Plan
 	state    State
 	done     int
 	payloads [][]byte
@@ -228,22 +234,18 @@ func jobID(kind string, scJSON []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Submit registers (or re-attaches to) the job for the canonicalized
-// scenario and returns its status. Submission is idempotent: the id is
-// the hash of (kind, canonical document), so resubmitting returns the
-// existing job — a failed one is re-queued for another attempt. If the
-// store already holds the merged result (a previous run of this job,
-// or the synchronous path on any instance sharing the directory), the
-// job completes immediately without computing anything.
-func (m *Manager) Submit(kind string, sc scenario.Scenario) (Status, error) {
+// Submit registers (or re-attaches to) the job for the plan's kind and
+// canonical document and returns its status. Submission is idempotent:
+// the id is the hash of (kind, canonical document), so resubmitting
+// returns the existing job — a failed one is re-queued for another
+// attempt. If the store already holds the merged result (a previous
+// run of this job, or the synchronous path on any instance sharing the
+// directory), the job completes immediately without computing anything.
+func (m *Manager) Submit(pl *scenario.Plan) (Status, error) {
 	if m.closed.Load() {
 		return Status{}, errors.New("jobs: manager closed")
 	}
-	sc = sc.Canonical()
-	pl, err := compilePlan(kind, sc)
-	if err != nil {
-		return Status{}, err
-	}
+	kind, sc := pl.Kind(), pl.Scenario()
 	scJSON, err := json.Marshal(sc)
 	if err != nil {
 		return Status{}, err
@@ -257,6 +259,7 @@ func (m *Manager) Submit(kind string, sc scenario.Scenario) (Status, error) {
 		defer j.mu.Unlock()
 		if j.state == StateFailed {
 			// Re-queue a failed job: keep whatever points finished.
+			j.pl = pl
 			j.state = StateQueued
 			j.err = nil
 			j.updated = time.Now()
@@ -270,10 +273,11 @@ func (m *Manager) Submit(kind string, sc scenario.Scenario) (Status, error) {
 
 	now := time.Now()
 	j := &job{
-		id: id, kind: kind, sc: sc, scJSON: scJSON, pl: pl,
+		id: id, kind: kind, sc: sc, scJSON: scJSON, total: pl.Points(),
 		created: now, updated: now,
+		pl:       pl,
 		state:    StateQueued,
-		payloads: make([][]byte, pl.total),
+		payloads: make([][]byte, pl.Points()),
 		subs:     make(map[int]chan Event),
 		finished: make(chan struct{}),
 	}
@@ -281,8 +285,9 @@ func (m *Manager) Submit(kind string, sc scenario.Scenario) (Status, error) {
 
 	// Short-circuit: the merged result may already be durable.
 	if body, ok := m.resultFromStore(j); ok {
+		j.pl = nil
 		j.state = StateDone
-		j.done = j.pl.total
+		j.done = j.total
 		j.result = body
 		close(j.finished)
 		m.jobs[id] = j
@@ -354,10 +359,10 @@ func (m *Manager) Recover() (int, error) {
 func (m *Manager) recoverOne(rec record) (bool, error) {
 	sc, err := scenario.Load(bytes.NewReader(rec.Scenario))
 	loaded := err == nil
-	var pl plan
+	var pl *scenario.Plan
 	if loaded {
 		sc = sc.Canonical()
-		pl, err = compilePlan(rec.Kind, sc)
+		pl, err = scenario.NewPlan(rec.Kind, sc)
 	}
 	// A record written by an earlier release may hold a document that
 	// validation now rejects. Such a job can never run again, but it
@@ -366,8 +371,9 @@ func (m *Manager) recoverOne(rec record) (bool, error) {
 	// result is still stored, in which case it stays done.
 	invalid := err
 	scJSON := []byte(rec.Scenario)
-	if invalid != nil {
-		pl = plan{total: max(rec.Total, 0)}
+	total := max(rec.Total, 0)
+	if invalid == nil {
+		total = pl.Points()
 	}
 	if loaded {
 		if scJSON, err = json.Marshal(sc); err != nil {
@@ -376,13 +382,10 @@ func (m *Manager) recoverOne(rec record) (bool, error) {
 	}
 	created := time.UnixMilli(rec.CreatedMs)
 	j := &job{
-		id: rec.ID, kind: rec.Kind, sc: sc, scJSON: scJSON, pl: pl,
+		id: rec.ID, kind: rec.Kind, sc: sc, scJSON: scJSON, total: total,
 		created: created, updated: time.Now(),
 		subs:     make(map[int]chan Event),
 		finished: make(chan struct{}),
-	}
-	if invalid == nil {
-		j.payloads = make([][]byte, pl.total)
 	}
 
 	m.mu.Lock()
@@ -403,7 +406,7 @@ func (m *Manager) recoverOne(rec record) (bool, error) {
 			break
 		}
 		j.state = StateDone
-		j.done = pl.total
+		j.done = total
 		j.result = body
 		close(j.finished)
 		m.jobs[rec.ID] = j
@@ -426,7 +429,9 @@ func (m *Manager) recoverOne(rec record) (bool, error) {
 	}
 	// Queued or running (or done-with-missing-result): scan the store
 	// for points that already finished and queue the rest.
-	for i := 0; i < pl.total; i++ {
+	j.pl = pl
+	j.payloads = make([][]byte, total)
+	for i := 0; i < total; i++ {
 		key, err := pointKey(rec.Kind, sc, i)
 		if err != nil {
 			return false, err
@@ -501,7 +506,7 @@ func (m *Manager) Subscribe(id string) (replay []Event, ch <-chan Event, cancel 
 	defer j.mu.Unlock()
 	for i, p := range j.payloads {
 		if p != nil {
-			replay = append(replay, Event{Type: "point", Index: i, Done: j.done, Total: j.pl.total, Payload: p})
+			replay = append(replay, Event{Type: "point", Index: i, Done: j.done, Total: j.total, Payload: p})
 		}
 	}
 	if j.state == StateDone || j.state == StateFailed {
@@ -510,7 +515,7 @@ func (m *Manager) Subscribe(id string) (replay []Event, ch <-chan Event, cancel 
 		close(closed)
 		return replay, closed, func() {}, true
 	}
-	c := make(chan Event, j.pl.total-j.done+2)
+	c := make(chan Event, j.total-j.done+2)
 	idx := j.subSeq
 	j.subSeq++
 	j.subs[idx] = c
@@ -560,10 +565,10 @@ func (m *Manager) Stats() Stats {
 		switch j.state {
 		case StateRunning:
 			s.Running++
-			s.QueuedPoints += j.pl.total - j.done
+			s.QueuedPoints += j.total - j.done
 		case StateQueued:
 			s.QueuedJobs++
-			s.QueuedPoints += j.pl.total - j.done
+			s.QueuedPoints += j.total - j.done
 		}
 		if j.state == StateQueued || j.state == StateRunning {
 			if oldest.IsZero() || j.created.Before(oldest) {
@@ -637,7 +642,7 @@ func (m *Manager) persistLocked(j *job) {
 	}
 	rec, err := json.Marshal(record{
 		ID: j.id, Kind: j.kind, Scenario: j.scJSON,
-		State: j.state, Total: j.pl.total, Error: errStr,
+		State: j.state, Total: j.total, Error: errStr,
 		CreatedMs: j.created.UnixMilli(),
 	})
 	if err != nil {
@@ -653,7 +658,7 @@ func (j *job) statusLocked() Status {
 	}
 	return Status{
 		ID: j.id, Kind: j.kind, State: j.state,
-		Done: j.done, Total: j.pl.total, Error: errStr,
+		Done: j.done, Total: j.total, Error: errStr,
 		Created: j.created.UnixMilli(), Updated: j.updated.UnixMilli(),
 	}
 }
@@ -664,9 +669,9 @@ func (j *job) terminalEventLocked() Event {
 		if j.err != nil {
 			errStr = j.err.Error()
 		}
-		return Event{Type: "failed", Done: j.done, Total: j.pl.total, Error: errStr}
+		return Event{Type: "failed", Done: j.done, Total: j.total, Error: errStr}
 	}
-	return Event{Type: "done", Done: j.done, Total: j.pl.total}
+	return Event{Type: "done", Done: j.done, Total: j.total}
 }
 
 // emitLocked fans an event out to the subscribers; callers hold j.mu.
@@ -785,6 +790,7 @@ func (m *Manager) runJob(j *job) {
 	j.mu.Lock()
 	j.state = StateRunning
 	j.updated = time.Now()
+	pl := j.pl
 	var pending []int
 	for i, p := range j.payloads {
 		if p == nil {
@@ -816,7 +822,7 @@ func (m *Manager) runJob(j *job) {
 					if !ok {
 						return
 					}
-					if err := m.runPoint(jctx, j, idx); err != nil {
+					if err := m.runPoint(jctx, j, pl, idx); err != nil {
 						if jctx.Err() == nil {
 							err := fmt.Errorf("jobs: point %d: %w", idx, err)
 							failure.CompareAndSwap(nil, &err)
@@ -842,7 +848,7 @@ func (m *Manager) runJob(j *job) {
 	j.mu.Lock()
 	payloads := j.payloads
 	j.mu.Unlock()
-	body, err := merge(j.kind, j.sc, j.pl, payloads)
+	body, err := mergePayloads(pl, payloads)
 	if err != nil {
 		m.failJob(j, err)
 		return
@@ -857,6 +863,7 @@ func (m *Manager) runJob(j *job) {
 	}
 	m.completed.Add(1)
 	j.mu.Lock()
+	j.pl = nil
 	j.state = StateDone
 	j.result = body
 	j.updated = time.Now()
@@ -864,6 +871,24 @@ func (m *Manager) runJob(j *job) {
 	j.emitLocked(j.terminalEventLocked())
 	close(j.finished)
 	j.mu.Unlock()
+}
+
+// mergePayloads decodes the complete, index-ordered payload set and
+// merges it into the final response body, byte-identical to the
+// synchronous path.
+func mergePayloads(pl *scenario.Plan, payloads [][]byte) ([]byte, error) {
+	parts := make([]any, len(payloads))
+	for i, raw := range payloads {
+		var err error
+		if parts[i], err = pl.Decode(i, raw); err != nil {
+			return nil, fmt.Errorf("jobs: point %d: %w", i, err)
+		}
+	}
+	rep, err := pl.Merge(parts)
+	if err != nil {
+		return nil, err
+	}
+	return store.EncodeBody(rep)
 }
 
 // stealFrom picks the victim shard with the most remaining work and
@@ -892,6 +917,7 @@ func stealFrom(shards []*shard, self int) (int, bool) {
 func (m *Manager) failJob(j *job, err error) {
 	m.failed.Add(1)
 	j.mu.Lock()
+	j.pl = nil
 	j.state = StateFailed
 	j.err = err
 	j.updated = time.Now()
@@ -904,7 +930,7 @@ func (m *Manager) failJob(j *job, err error) {
 // runPoint executes one grid point: consult the store, else compute
 // with retry-and-backoff, write through, deliver. A nil error means
 // the point's payload is recorded and (with a store) durable.
-func (m *Manager) runPoint(ctx context.Context, j *job, idx int) error {
+func (m *Manager) runPoint(ctx context.Context, j *job, pl *scenario.Plan, idx int) error {
 	if m.cfg.BeforePoint != nil {
 		m.cfg.BeforePoint(j.id, idx)
 	}
@@ -933,7 +959,7 @@ func (m *Manager) runPoint(ctx context.Context, j *job, idx int) error {
 				return ctx.Err()
 			}
 		}
-		body, err = m.execPoint(ctx, j, idx)
+		body, err = m.execPoint(ctx, j, pl, idx)
 		if err == nil {
 			break
 		}
@@ -949,7 +975,7 @@ func (m *Manager) runPoint(ctx context.Context, j *job, idx int) error {
 		if perr := m.cfg.Store.Put(key, body); perr != nil {
 			return perr
 		}
-		if j.pl.shape == shapeLifetime {
+		if j.kind == KindLifetime {
 			// The payload is durable; its round-loop checkpoint is spent.
 			if ckey, err := checkpointKey(j.kind, j.sc, idx); err == nil {
 				m.cfg.Store.Delete(ckey)
@@ -961,18 +987,26 @@ func (m *Manager) runPoint(ctx context.Context, j *job, idx int) error {
 	return nil
 }
 
-// execPoint is the point computation, indirect for test injection.
-func (m *Manager) execPoint(ctx context.Context, j *job, idx int) ([]byte, error) {
-	if testExecPoint != nil {
-		return testExecPoint(ctx, j.kind, j.sc, j.pl, idx)
+// execPoint computes one point's payload: the plan's value for the
+// point, encoded for the store. Lifetime points checkpoint their round
+// loop through the store.
+func (m *Manager) execPoint(ctx context.Context, j *job, pl *scenario.Plan, idx int) ([]byte, error) {
+	if testPointFault != nil {
+		if err := testPointFault(idx); err != nil {
+			return nil, err
+		}
 	}
 	var ck life.Checkpointer
-	if m.cfg.Store != nil && j.pl.shape == shapeLifetime {
+	if m.cfg.Store != nil && j.kind == KindLifetime {
 		if key, err := checkpointKey(j.kind, j.sc, idx); err == nil {
 			ck = storeCheckpointer{st: m.cfg.Store, key: key}
 		}
 	}
-	return executePoint(ctx, j.kind, j.sc, j.pl, idx, ck, m.cfg.CheckpointEvery)
+	v, err := pl.Exec(ctx, idx, ck, m.cfg.CheckpointEvery)
+	if err != nil {
+		return nil, err
+	}
+	return pl.Encode(v)
 }
 
 // storeCheckpointer persists one lifetime point's round-loop state
@@ -987,9 +1021,10 @@ type storeCheckpointer struct {
 func (c storeCheckpointer) Load() ([]byte, bool) { return c.st.Get(c.key) }
 func (c storeCheckpointer) Save(b []byte) error  { return c.st.Put(c.key, b) }
 
-// testExecPoint, when non-nil, replaces executePoint (package tests
-// inject transient failures through it).
-var testExecPoint func(ctx context.Context, kind string, sc scenario.Scenario, pl plan, idx int) ([]byte, error)
+// testPointFault, when non-nil, runs at the start of every point
+// execution attempt, and an error it returns fails the attempt
+// (package tests inject transient failures through it).
+var testPointFault func(idx int) error
 
 func (m *Manager) deliverPoint(j *job, idx int, body []byte) {
 	j.mu.Lock()
@@ -1000,5 +1035,5 @@ func (m *Manager) deliverPoint(j *job, idx int, body []byte) {
 	j.payloads[idx] = body
 	j.done++
 	j.updated = time.Now()
-	j.emitLocked(Event{Type: "point", Index: idx, Done: j.done, Total: j.pl.total, Payload: body})
+	j.emitLocked(Event{Type: "point", Index: idx, Done: j.done, Total: j.total, Payload: body})
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,20 +46,20 @@ func runScenario() scenario.Scenario {
 	}
 }
 
+func newPlan(t *testing.T, kind string, sc scenario.Scenario) *scenario.Plan {
+	t.Helper()
+	pl, err := scenario.NewPlan(kind, sc)
+	if err != nil {
+		t.Fatalf("plan %s: %v", kind, err)
+	}
+	return pl
+}
+
 // syncBody renders the scenario through the synchronous serving path:
 // the bytes a POST /v1/<kind> response carries.
 func syncBody(t *testing.T, kind string, sc scenario.Scenario) []byte {
 	t.Helper()
-	sc = sc.Canonical()
-	var (
-		rep scenario.Report
-		err error
-	)
-	if kind == KindSweep {
-		rep, err = sc.SweepReport(context.Background(), 4, nil)
-	} else {
-		rep, err = sc.RunContext(context.Background())
-	}
+	rep, err := newPlan(t, kind, sc).Run(context.Background(), 4, nil)
 	if err != nil {
 		t.Fatalf("sync %s: %v", kind, err)
 	}
@@ -71,7 +72,7 @@ func syncBody(t *testing.T, kind string, sc scenario.Scenario) []byte {
 
 func submitAndWait(t *testing.T, m *Manager, kind string, sc scenario.Scenario) (Status, []byte) {
 	t.Helper()
-	st, err := m.Submit(kind, sc)
+	st, err := m.Submit(newPlan(t, kind, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -146,7 +147,7 @@ func TestRestartResume(t *testing.T) {
 			}
 		},
 	})
-	sub, err := m1.Submit(KindSweep, sc)
+	sub, err := m1.Submit(newPlan(t, KindSweep, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -356,13 +357,13 @@ func TestShortCircuitFromStore(t *testing.T) {
 func TestRetryTransient(t *testing.T) {
 	var fails atomic.Int32
 	fails.Store(2)
-	testExecPoint = func(ctx context.Context, kind string, sc scenario.Scenario, pl plan, idx int) ([]byte, error) {
+	testPointFault = func(idx int) error {
 		if idx == 0 && fails.Add(-1) >= 0 {
-			return nil, errors.New("transient fault")
+			return errors.New("transient fault")
 		}
-		return executePoint(ctx, kind, sc, pl, idx, nil, 0)
+		return nil
 	}
-	defer func() { testExecPoint = nil }()
+	defer func() { testPointFault = nil }()
 
 	m := NewManager(Config{Workers: 2, RetryBase: time.Millisecond})
 	defer m.Close(context.Background())
@@ -381,18 +382,18 @@ func TestRetryTransient(t *testing.T) {
 func TestRetryPermanent(t *testing.T) {
 	var broken atomic.Bool
 	broken.Store(true)
-	testExecPoint = func(ctx context.Context, kind string, sc scenario.Scenario, pl plan, idx int) ([]byte, error) {
+	testPointFault = func(int) error {
 		if broken.Load() {
-			return nil, errors.New("persistent fault")
+			return errors.New("persistent fault")
 		}
-		return executePoint(ctx, kind, sc, pl, idx, nil, 0)
+		return nil
 	}
-	defer func() { testExecPoint = nil }()
+	defer func() { testPointFault = nil }()
 
 	m := NewManager(Config{Workers: 2, RetryBase: time.Millisecond, RetryMax: 3})
 	defer m.Close(context.Background())
 	sc := runScenario()
-	st, err := m.Submit(KindRun, sc)
+	st, err := m.Submit(newPlan(t, KindRun, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -413,7 +414,7 @@ func TestRetryPermanent(t *testing.T) {
 	}
 
 	broken.Store(false)
-	st2, err := m.Submit(KindRun, sc)
+	st2, err := m.Submit(newPlan(t, KindRun, sc))
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
 	}
@@ -452,7 +453,7 @@ func TestWorkStealing(t *testing.T) {
 		},
 	})
 	defer m.Close(context.Background())
-	st, err := m.Submit(KindSweep, sc)
+	st, err := m.Submit(newPlan(t, KindSweep, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -496,7 +497,7 @@ func TestSubscribe(t *testing.T) {
 	m := NewManager(Config{Workers: 4})
 	defer m.Close(context.Background())
 	sc := sweepScenario()
-	st, err := m.Submit(KindSweep, sc)
+	st, err := m.Submit(newPlan(t, KindSweep, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -568,15 +569,16 @@ func TestSubscribe(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation rejects unknown kinds and broken scenarios.
+// TestSubmitValidation rejects unknown kinds and broken scenarios
+// before a job exists: they never yield a plan to submit.
 func TestSubmitValidation(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	defer m.Close(context.Background())
-	if _, err := m.Submit("explode", runScenario()); err == nil {
+	if _, err := scenario.NewPlan("explode", runScenario()); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	bad := scenario.Scenario{Name: "bad", Topology: scenario.TopologySpec{Kind: "nope", M: 2, N: 2}}
-	if _, err := m.Submit(KindRun, bad); err == nil {
+	if _, err := scenario.NewPlan(KindRun, bad); err == nil {
 		t.Error("uncompilable scenario accepted")
 	}
 	if _, ok := m.Get("missing"); ok {
@@ -598,7 +600,7 @@ func TestStatsGauges(t *testing.T) {
 		},
 	})
 	sc := sweepScenario()
-	st, err := m.Submit(KindSweep, sc)
+	st, err := m.Submit(newPlan(t, KindSweep, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -626,7 +628,7 @@ func TestStatsGauges(t *testing.T) {
 	if err := m.Close(context.Background()); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if _, err := m.Submit(KindRun, runScenario()); err == nil {
+	if _, err := m.Submit(newPlan(t, KindRun, runScenario())); err == nil {
 		t.Error("closed manager accepted a submission")
 	}
 }
@@ -640,11 +642,11 @@ func TestJobIDStable(t *testing.T) {
 	b := runScenario()
 	b.Topology.Kind = "2D4" // canonicalization lowercases
 	b.Protocol = "PAPER"
-	sa, err := m.Submit(KindRun, a)
+	sa, err := m.Submit(newPlan(t, KindRun, a))
 	if err != nil {
 		t.Fatalf("submit a: %v", err)
 	}
-	sb, err := m.Submit(KindRun, b)
+	sb, err := m.Submit(newPlan(t, KindRun, b))
 	if err != nil {
 		t.Fatalf("submit b: %v", err)
 	}
@@ -658,5 +660,47 @@ func TestJobIDStable(t *testing.T) {
 	defer cancel()
 	if _, err := m.Wait(ctx, sa.ID); err != nil {
 		t.Fatalf("wait: %v", err)
+	}
+}
+
+// allocatedBytes returns the bytes f allocates per call, averaged over
+// n calls.
+func allocatedBytes(n int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// A job compiles its document once, when its plan is built, not once
+// per point. On an irregular mesh Compile builds the whole adjacency,
+// so a sweep job that compiled per point would allocate more than
+// (points x one Compile).
+func TestSweepJobCompilesOnce(t *testing.T) {
+	sc := scenario.Scenario{
+		Name:     "jobs-irregular",
+		Topology: scenario.TopologySpec{Kind: "irregular", M: 24, N: 24, Jitter: 0.3, Radius: 1.5, Seed: 3},
+		Protocol: "flooding",
+	}.Canonical()
+	compile := allocatedBytes(3, func() {
+		if _, _, _, err := sc.Compile(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	points := 24 * 24
+	job := allocatedBytes(1, func() {
+		m := NewManager(Config{Workers: 2})
+		submitAndWait(t, m, KindSweep, sc)
+		if err := m.Close(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("job %.0f B, Compile %.0f B x %d points", job, compile, points)
+	if job >= float64(points)*compile {
+		t.Errorf("a %d-point sweep job allocates %.0f B against %.0f B for one Compile per point: points recompile the document",
+			points, job, float64(points)*compile)
 	}
 }

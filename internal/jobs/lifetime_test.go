@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"wsnbcast/internal/life"
 	"wsnbcast/internal/scenario"
 	"wsnbcast/internal/store"
 )
@@ -34,7 +35,7 @@ func lifetimeScenario() scenario.Scenario {
 
 func syncLifetimeBody(t *testing.T, sc scenario.Scenario) []byte {
 	t.Helper()
-	rep, err := sc.Canonical().LifetimeReport(context.Background(), 4, nil)
+	rep, err := newPlan(t, KindLifetime, sc).Run(context.Background(), 4, nil)
 	if err != nil {
 		t.Fatalf("sync lifetime: %v", err)
 	}
@@ -66,14 +67,12 @@ func TestLifetimeJobMatchesSync(t *testing.T) {
 // TestLifetimeKindGate: a lifetime section only runs under the
 // lifetime kind, and the lifetime kind needs a lifetime section.
 func TestLifetimeKindGate(t *testing.T) {
-	m := NewManager(Config{Workers: 1})
-	defer m.Close(context.Background())
 	for _, kind := range []string{KindRun, KindScenario} {
-		if _, err := m.Submit(kind, lifetimeScenario()); err == nil {
+		if _, err := scenario.NewPlan(kind, lifetimeScenario()); err == nil {
 			t.Errorf("kind %s accepted a lifetime section", kind)
 		}
 	}
-	if _, err := m.Submit(KindLifetime, runScenario()); err == nil {
+	if _, err := scenario.NewPlan(KindLifetime, runScenario()); err == nil {
 		t.Error("lifetime kind accepted a document without a lifetime section")
 	}
 }
@@ -129,17 +128,22 @@ func TestLifetimeCheckpointKillResume(t *testing.T) {
 	}
 	defer st.Close()
 	sc := lifetimeScenario().Canonical()
-	pl, err := compilePlan(KindLifetime, sc)
-	if err != nil {
-		t.Fatalf("plan: %v", err)
+	pl := newPlan(t, KindLifetime, sc)
+	// execute returns the point's payload, as a job stores it.
+	execute := func(ctx context.Context, ck life.Checkpointer) ([]byte, error) {
+		v, err := pl.Exec(ctx, 0, ck, 4)
+		if err != nil {
+			return nil, err
+		}
+		return pl.Encode(v)
 	}
-	const index, every = 0, 4
+	const index = 0
 	key, err := checkpointKey(KindLifetime, sc, index)
 	if err != nil {
 		t.Fatalf("checkpoint key: %v", err)
 	}
 
-	want, err := executePoint(context.Background(), KindLifetime, sc, pl, index, nil, every)
+	want, err := execute(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
 	}
@@ -147,7 +151,7 @@ func TestLifetimeCheckpointKillResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	killer := &cancelAfterSaves{inner: storeCheckpointer{st: st, key: key}, after: 2, cancel: cancel}
-	if _, err := executePoint(ctx, KindLifetime, sc, pl, index, killer, every); !errors.Is(err, context.Canceled) {
+	if _, err := execute(ctx, killer); !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed run returned %v, want context.Canceled", err)
 	}
 	if killer.saves != 2 {
@@ -158,7 +162,7 @@ func TestLifetimeCheckpointKillResume(t *testing.T) {
 	}
 
 	resumer := &countingCkpt{inner: storeCheckpointer{st: st, key: key}}
-	got, err := executePoint(context.Background(), KindLifetime, sc, pl, index, resumer, every)
+	got, err := execute(context.Background(), resumer)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -197,7 +201,7 @@ func TestLifetimeRestartResume(t *testing.T) {
 			}
 		},
 	})
-	sub, err := m1.Submit(KindLifetime, sc)
+	sub, err := m1.Submit(newPlan(t, KindLifetime, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}

@@ -165,8 +165,12 @@ func TestLifetimeRejectedByRunContext(t *testing.T) {
 func TestLifetimeReportWorkersIdentical(t *testing.T) {
 	s := loadLifetime(t)
 	var want []byte
+	p, err := NewPlan(KindLifetime, s)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 3} {
-		rep, err := s.LifetimeReport(context.Background(), workers, nil)
+		rep, err := p.Run(context.Background(), workers, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -181,12 +185,16 @@ func TestLifetimeReportWorkersIdentical(t *testing.T) {
 	}
 }
 
-// Cell-by-cell execution plus LifetimeMerge — the job subsystem's path
-// — must reproduce the synchronous report byte for byte, including a
-// JSON round trip of every cell payload (how the store serves points).
+// Cell-by-cell execution plus LifetimeMerge must reproduce the
+// synchronous report byte for byte, including a JSON round trip of
+// every cell (how the store serves points).
 func TestLifetimeMergeMatchesSync(t *testing.T) {
 	s := loadLifetime(t)
-	sync, err := s.LifetimeReport(context.Background(), 0, nil)
+	p, err := NewPlan(KindLifetime, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync, err := p.Run(context.Background(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +207,7 @@ func TestLifetimeMergeMatchesSync(t *testing.T) {
 	}
 	cells := make([]life.CellReport, n)
 	for i := 0; i < n; i++ {
-		c, err := s.LifetimeCell(context.Background(), i, nil, 0)
+		c, err := p.Exec(context.Background(), i, nil, 0)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}

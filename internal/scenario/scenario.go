@@ -15,16 +15,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"wsnbcast/internal/analysis"
-	"wsnbcast/internal/converge"
 	"wsnbcast/internal/core"
 	"wsnbcast/internal/grid"
 	"wsnbcast/internal/life"
 	"wsnbcast/internal/mc"
-	"wsnbcast/internal/pipeline"
 	"wsnbcast/internal/radio"
 	"wsnbcast/internal/sim"
-	"wsnbcast/internal/sweep"
 )
 
 // Point is a JSON-friendly coordinate (Z defaults to 1). Coord
@@ -556,280 +552,55 @@ func (s Scenario) Run() (Report, error) {
 	return s.RunContext(context.Background())
 }
 
-// RunContext executes the scenario, checking ctx between broadcasts
-// and between phases: once cancelled, it returns the context's error
-// promptly without starting further simulations.
+// RunContext executes the scenario as a KindScenario plan on
+// GOMAXPROCS workers; once ctx is cancelled it returns the context's
+// error promptly without starting further simulations.
 func (s Scenario) RunContext(ctx context.Context) (Report, error) {
-	rep := Report{Name: s.Name, Topology: strings.ToLower(s.Topology.Kind)}
-	topo, p, cfg, err := s.Compile()
-	if err != nil {
-		return rep, err
-	}
-	if s.Lifetime != nil {
-		// Lifetime cells can run for thousands of rounds each; they go
-		// through the cell-sharded lifetime path (POST /v1/lifetime, the
-		// lifetime job kind, wsnlife), never the scenario runner.
-		return rep, fmt.Errorf("scenario: a lifetime study runs via the lifetime endpoint, not the scenario runner")
-	}
-	rep.Protocol = p.Name()
-
-	if len(s.Sources) == 0 {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		sum, err := analysis.Sweep(topo, p, cfg)
-		if err != nil {
-			return rep, err
-		}
-		rep.BestEnergyJ = sum.Best.EnergyJ
-		rep.WorstEnergyJ = sum.Worst.EnergyJ
-		rep.MaxDelay = sum.MaxDelay
-		return rep, nil
-	}
-
-	for _, src := range s.Sources {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		r, err := sim.Run(topo, p, src.Coord(), cfg)
-		if err != nil {
-			return rep, err
-		}
-		rep.Runs = append(rep.Runs, NewRunReport(src, r))
-	}
-	first := s.Sources[0].Coord()
-
-	if s.Reliability != nil {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		study, err := mc.Run(ctx, mc.Spec{
-			Topology: topo, Protocol: p, Source: first, Config: cfg,
-			Seed:         s.Reliability.Seed,
-			Replications: s.Reliability.Replications,
-			LossRates:    s.Reliability.LossRates,
-			FailureRates: s.Reliability.FailureRates,
-		})
-		if err != nil {
-			return rep, err
-		}
-		rep.Reliability = study.Points
-		rep.ReliabilitySeed = study.Seed
-	}
-
-	if s.Pipeline != nil {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		interval := s.Pipeline.Interval
-		if interval <= 0 {
-			interval, err = pipeline.SafeInterval(topo, p, first, 4, 8*topo.NumNodes())
-			if err != nil {
-				return rep, err
-			}
-		}
-		snap, _, err := sim.Snapshot(topo, p, first, cfg)
-		if err != nil {
-			return rep, err
-		}
-		pr, err := pipeline.Run(topo, snap, first, pipeline.Config{
-			Packets: s.Pipeline.Packets, Interval: interval,
-		})
-		if err != nil {
-			return rep, err
-		}
-		rep.PipelineInterval = interval
-		rep.PipelineSlots = pr.Slots
-		rep.PipelineDelivered = pr.Delivered
-	}
-
-	if s.BudgetJ > 0 {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		life, err := analysis.Lifetime(topo, p, first, cfg, s.BudgetJ)
-		if err != nil {
-			return rep, err
-		}
-		rep.LifetimeRounds = life.RoundsOnBudget
-		rep.MaxNodeEnergyJ = life.MaxNodeEnergyJ
-	}
-
-	if s.Convergecast {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		cc, err := converge.Run(topo, first, converge.Config{})
-		if err != nil {
-			return rep, err
-		}
-		rep.ConvergeEnergyJ = cc.EnergyJ
-		rep.ConvergeSlots = cc.Slots
-	}
-	return rep, nil
-}
-
-// SweepReport broadcasts from every node on the parallel sweep engine
-// and reports one row per source plus the paper's best/worst/max-delay
-// summary — the body of the HTTP service's /v1/sweep endpoint, shared
-// with the CLIs and the job subsystem so all three render byte-identical
-// sweep reports. workers sizes the engine (<= 0: GOMAXPROCS); g, when
-// non-nil, receives pending-job deltas. The context propagates into the
-// engine, so an expired deadline stops the sweep between jobs.
-func (s Scenario) SweepReport(ctx context.Context, workers int, g sweep.Gauge) (Report, error) {
-	topo, p, cfg, err := s.Compile()
+	p, err := NewPlan(KindScenario, s)
 	if err != nil {
 		return Report{}, err
 	}
-	eng := sweep.New(workers)
-	if g != nil {
-		eng = eng.WithGauge(g)
-	}
-	results, err := eng.SweepSources(ctx, topo, p, cfg, nil)
-	if err != nil {
-		return Report{}, err
-	}
-	rep := Report{Name: s.Name, Topology: s.Topology.Kind, Protocol: p.Name()}
-	rep.Runs = make([]RunReport, len(results))
-	for i, r := range results {
-		src := topo.At(i)
-		rep.Runs[i] = NewRunReport(Point{X: src.X, Y: src.Y, Z: src.Z}, r)
-	}
-	SweepSummary(&rep)
-	return rep, nil
+	return p.Run(ctx, 0, nil)
 }
 
-// lifeSpec builds the internal/life study spec of the scenario's
-// lifetime section. The scenario must have passed Compile (one source,
-// no conflicting sections); defaults are applied here exactly as
-// Canonical makes them explicit, so canonical and raw documents build
-// the same study.
-func (s Scenario) lifeSpec(workers int, g sweep.Gauge) (life.Spec, error) {
-	topo, p, cfg, err := s.Compile()
-	if err != nil {
-		return life.Spec{}, err
-	}
-	if s.Lifetime == nil {
-		return life.Spec{}, fmt.Errorf("scenario: no lifetime section")
-	}
-	l := canonicalLifetime(*s.Lifetime)
-	sts := make([]life.Strategy, len(l.Strategies))
-	for i, name := range l.Strategies {
-		st, err := life.ParseStrategy(name)
-		if err != nil {
-			return life.Spec{}, fmt.Errorf("scenario: %w", err)
-		}
-		sts[i] = st
-	}
-	return life.Spec{
-		Topology:     topo,
-		Protocol:     p,
-		Source:       s.Sources[0].Coord(),
-		Config:       cfg,
-		BudgetJ:      l.BudgetJ,
-		MaxRounds:    l.MaxRounds,
-		Seed:         l.Seed,
-		Replications: l.Replications,
-		Strategies:   sts,
-		PFail:        l.ChurnRates,
-		PNew:         l.PNew,
-		BurnInRounds: l.BurnInRounds,
-		Workers:      workers,
-		Gauge:        g,
-	}, nil
-}
-
-// LifetimeBounds compiles the document once and returns the lifetime
-// study's cell count and per-cell round bound without running anything
-// — admission control sizes work with both. Burn-in steps count toward
-// the round bound: they run no broadcasts but still walk the whole
-// link table per step.
-func (s Scenario) LifetimeBounds() (cells, rounds int, err error) {
-	spec, err := s.lifeSpec(0, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	rounds = math.MaxInt // saturate: both terms are >= 0
-	if spec.BurnInRounds <= math.MaxInt-spec.MaxRounds {
-		rounds = spec.MaxRounds + spec.BurnInRounds
-	}
-	return spec.NumCells(), rounds, nil
-}
-
-// LifetimeCellCount returns the study's cell count (see
-// LifetimeBounds) — the job planner sizes work with it.
+// LifetimeCellCount returns the lifetime study's cell count. Only the
+// perfbench replay calls it; it goes when that replay does.
 func (s Scenario) LifetimeCellCount() (int, error) {
-	cells, _, err := s.LifetimeBounds()
-	return cells, err
+	p, err := NewPlan(KindLifetime, s)
+	if err != nil {
+		return 0, err
+	}
+	return p.Points(), nil
 }
 
-// LifetimeMaxRounds returns the study's per-cell round bound (see
-// LifetimeBounds).
+// LifetimeMaxRounds returns the lifetime study's per-cell round bound
+// (Plan.RoundBound). Only the perfbench replay calls it; it goes when
+// that replay does.
 func (s Scenario) LifetimeMaxRounds() (int, error) {
-	_, rounds, err := s.LifetimeBounds()
-	return rounds, err
+	p, err := NewPlan(KindLifetime, s)
+	if err != nil {
+		return 0, err
+	}
+	return p.RoundBound(), nil
 }
 
-// LifetimeReport runs the whole lifetime study, sharding cells across
-// the worker pool — the body of the HTTP service's /v1/lifetime
-// endpoint, shared with wsnlife and (cell by cell) the job subsystem
-// so all render byte-identical reports. workers sizes the engine
-// (<= 0: GOMAXPROCS); g, when non-nil, receives pending-cell deltas.
-func (s Scenario) LifetimeReport(ctx context.Context, workers int, g sweep.Gauge) (Report, error) {
-	spec, err := s.lifeSpec(workers, g)
-	if err != nil {
-		return Report{}, err
-	}
-	cells, err := life.Run(ctx, spec)
-	if err != nil {
-		return Report{}, err
-	}
-	return s.lifetimeMerge(spec, cells), nil
-}
-
-// LifetimeCell runs one cell of the study, checkpointing through ck
-// when non-nil — the job subsystem's per-point unit. checkpointEvery
-// is the round cadence of saves (<= 0: life.DefaultCheckpointEvery);
-// the cadence never changes the report bytes, only how much work a
-// killed process repeats.
-func (s Scenario) LifetimeCell(ctx context.Context, index int, ck life.Checkpointer, checkpointEvery int) (life.CellReport, error) {
-	spec, err := s.lifeSpec(1, nil)
-	if err != nil {
-		return life.CellReport{}, err
-	}
-	spec.CheckpointEvery = checkpointEvery
-	return life.RunCell(ctx, spec, index, ck)
-}
-
-// LifetimeMerge assembles a lifetime report from distributed cells in
-// study order; for cells that round-tripped through JSON the result is
-// byte-identical to the report LifetimeReport computed inline.
+// LifetimeMerge assembles a lifetime report from its cells in study
+// order (Plan.Merge). Only the perfbench replay calls it; it goes when
+// that replay does.
 func (s Scenario) LifetimeMerge(cells []life.CellReport) (Report, error) {
-	spec, err := s.lifeSpec(0, nil)
+	p, err := NewPlan(KindLifetime, s)
 	if err != nil {
 		return Report{}, err
 	}
-	if len(cells) != spec.NumCells() {
-		return Report{}, fmt.Errorf("scenario: %d lifetime cells merged into a %d-cell study", len(cells), spec.NumCells())
+	parts := make([]any, len(cells))
+	for i, c := range cells {
+		parts[i] = c
 	}
-	return s.lifetimeMerge(spec, cells), nil
+	return p.Merge(parts)
 }
 
-func (s Scenario) lifetimeMerge(spec life.Spec, cells []life.CellReport) Report {
-	return Report{
-		Name:         s.Name,
-		Topology:     s.Topology.Kind,
-		Protocol:     spec.Protocol.Name(),
-		Lifetime:     cells,
-		LifetimeSeed: spec.Seed,
-	}
-}
-
-// SweepSummary recomputes a sweep report's best/worst/max-delay summary
-// from its per-source rows. The job subsystem uses it to rebuild the
-// summary after merging distributed rows; for float64 values that
-// round-tripped through JSON the result is bit-identical to the summary
-// SweepReport computed inline.
+// SweepSummary computes a sweep report's best/worst/max-delay summary
+// from its per-source rows, in row order.
 func SweepSummary(rep *Report) {
 	for i, r := range rep.Runs {
 		if i == 0 || r.EnergyJ < rep.BestEnergyJ {

@@ -95,11 +95,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if status, msg := s.checkLimits(sc); status != 0 {
+	pl, status, msg := s.checkLimits(req.Kind, sc)
+	if status != 0 {
 		s.fail(w, status, msg)
 		return
 	}
-	st, err := s.jobs.Submit(req.Kind, sc)
+	st, err := s.jobs.Submit(pl)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err.Error())
 		return

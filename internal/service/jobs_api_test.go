@@ -355,7 +355,11 @@ func TestGracefulDrainWithJobsAndStore(t *testing.T) {
 		if lerr != nil {
 			t.Fatal(lerr)
 		}
-		_, serr := m1.Submit(jobs.KindSweep, sc)
+		pl, perr := scenario.NewPlan(scenario.KindSweep, sc)
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		_, serr := m1.Submit(pl)
 		return serr != nil
 	})
 	close(jobRelease)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"wsnbcast/internal/jobs"
+	"wsnbcast/internal/scenario"
 	"wsnbcast/internal/store"
 )
 
@@ -26,7 +27,7 @@ const lifetimeDoc = `{
 }`
 
 // TestLifetimeEndpointMatchesReport: POST /v1/lifetime renders exactly
-// the scenario.LifetimeReport body, and repeats serve from the cache.
+// the lifetime plan's body, and repeats serve from the cache.
 func TestLifetimeEndpointMatchesReport(t *testing.T) {
 	srv := New(Config{})
 	w := post(srv, "/v1/lifetime", lifetimeDoc)
@@ -37,7 +38,11 @@ func TestLifetimeEndpointMatchesReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sc.LifetimeReport(context.Background(), 4, nil)
+	pl, err := scenario.NewPlan(scenario.KindLifetime, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := pl.Run(context.Background(), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +51,7 @@ func TestLifetimeEndpointMatchesReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(w.Body.Bytes(), want) {
-		t.Error("served lifetime body differs from scenario.LifetimeReport")
+		t.Error("served lifetime body differs from the lifetime plan's")
 	}
 	second := post(srv, "/v1/lifetime", lifetimeDoc)
 	if second.Header().Get("X-Cache") != "hit" {

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 
 	"wsnbcast/internal/scenario"
+	"wsnbcast/internal/sim"
 )
 
 // rejectCase is a hostile or contradictory document, every endpoint
@@ -253,5 +255,56 @@ func TestCacheHitSkipsCompile(t *testing.T) {
 	served := allocatedBytes(3, hit)
 	if served*2 > compile {
 		t.Errorf("an LRU hit allocates %.0f B against %.0f B for one Compile: the hit path compiles", served, compile)
+	}
+}
+
+// A miss compiles its document once: checkLimits builds the plan the
+// pool then runs. On an irregular mesh Compile builds the whole
+// adjacency, so a miss that compiled again would allocate at least one
+// sim.Run plus two Compiles' worth. Each figure is the least of three
+// calls: whether a call finds a warm engine in sim's per-P pool varies,
+// and a cold engine's arena costs about half a Compile.
+func TestMissCompilesOnce(t *testing.T) {
+	const doc = `{"name": "miss-%d", "topology": {"kind": "irregular", "m": 120, "n": 120, "radius": 1.5}, "protocol": "flooding", "sources": [{"x": 1, "y": 1}]}`
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep warm engines pooled
+	srv := New(Config{CacheEntries: -1})
+	misses := 0
+	miss := func() {
+		misses++
+		if w := post(srv, "/v1/run", fmt.Sprintf(doc, misses)); w.Code != http.StatusOK || w.Header().Get("X-Cache") != "miss" {
+			t.Fatalf("miss: status = %d, X-Cache = %q, body %s", w.Code, w.Header().Get("X-Cache"), w.Body)
+		}
+	}
+	least := func(f func()) float64 {
+		b := allocatedBytes(1, f)
+		for i := 0; i < 2; i++ {
+			b = min(b, allocatedBytes(1, f))
+		}
+		return b
+	}
+	miss()
+	sc, err := scenario.Load(strings.NewReader(fmt.Sprintf(doc, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc = sc.Canonical()
+	topo, p, cfg, err := sc.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compile := least(func() {
+		if _, _, _, err := sc.Compile(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	run := least(func() {
+		if _, err := sim.Run(topo, p, sc.Sources[0].Coord(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	served := least(miss)
+	t.Logf("miss %.0f B, sim.Run %.0f B, Compile %.0f B", served, run, compile)
+	if served >= run+2*compile {
+		t.Errorf("a miss allocates %.0f B against %.0f B for one sim.Run plus two Compiles: the miss path compiles twice", served, run+2*compile)
 	}
 }

@@ -69,7 +69,8 @@ type pendingGauge struct{ n *atomic.Int64 }
 
 func (g pendingGauge) Add(delta int64) { g.n.Add(delta) }
 
-// SweepGauge returns the sweep.Gauge fed by /v1/sweep engines.
+// SweepGauge returns the sweep.Gauge fed by the synchronous endpoints'
+// plan runs: their points queued or running.
 func (m *metrics) SweepGauge() pendingGauge { return pendingGauge{&m.sweepPending} }
 
 // latencyBucket is one histogram cell of the /metrics document.

@@ -2,8 +2,9 @@
 // deterministic-simulation service with result caching, admission
 // control and metrics, built to serve many clients from one process.
 //
-// Three POST endpoints accept the declarative scenario JSON of
-// internal/scenario as their wire format:
+// Four POST endpoints accept the declarative scenario JSON of
+// internal/scenario as their wire format, and each runs the document as
+// a scenario.Plan of its kind (the plan /v1/jobs runs point by point):
 //
 //   - /v1/run — a single broadcast (exactly one source), optionally
 //     with a Monte Carlo reliability study (a "reliability" section:
@@ -13,6 +14,8 @@
 //     lifetime, convergecast)
 //   - /v1/sweep — an all-sources sweep on the parallel sweep engine,
 //     one row per source plus the paper's best/worst/max-delay summary
+//   - /v1/lifetime — a multi-round lifetime study (internal/life), one
+//     cell per (strategy, churn rate, replication)
 //
 // Because every simulation is a pure function of its canonicalized
 // request, responses are perfectly cacheable: requests are normalized
@@ -160,10 +163,10 @@ func New(cfg Config) *Server {
 	if s.jobs == nil {
 		s.jobs = jobs.NewManager(jobs.Config{Store: cfg.Store, Workers: cfg.JobWorkers})
 	}
-	s.mux.HandleFunc("POST /v1/run", s.handleSim("run", prepRun, s.execScenario))
-	s.mux.HandleFunc("POST /v1/scenario", s.handleSim("scenario", prepScenario, s.execScenario))
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSim("sweep", prepSweep, s.execSweep))
-	s.mux.HandleFunc("POST /v1/lifetime", s.handleSim("lifetime", prepLifetime, s.execLifetime))
+	s.mux.HandleFunc("POST /v1/run", s.handleSim(scenario.KindRun, prepRun))
+	s.mux.HandleFunc("POST /v1/scenario", s.handleSim(scenario.KindScenario, prepScenario))
+	s.mux.HandleFunc("POST /v1/sweep", s.handleSim(scenario.KindSweep, prepSweep))
+	s.mux.HandleFunc("POST /v1/lifetime", s.handleSim(scenario.KindLifetime, prepLifetime))
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
@@ -331,14 +334,15 @@ func prepLifetime(sc scenario.Scenario) error {
 	return nil
 }
 
-// handleSim is the shared request path of the three simulation
-// endpoints: decode and canonicalize, check the request shape, consult
-// the LRU, enforce the limits, consult the store, deduplicate in
-// flight, admit to the pool, execute, cache, respond. The LRU answers
-// before checkLimits compiles the document: every entry in it was
-// computed by this process after passing the same limits, so a hit
-// never rebuilds the topology.
-func (s *Server) handleSim(endpoint string, prep func(scenario.Scenario) error, exec func(ctx context.Context, sc scenario.Scenario) (any, error)) http.HandlerFunc {
+// handleSim is the shared request path of the simulation endpoints:
+// decode and canonicalize, check the request shape, consult the LRU,
+// enforce the limits while compiling the kind's plan, consult the
+// store, deduplicate in flight, admit to the pool, run the plan, cache,
+// respond. The LRU answers before checkLimits compiles the document:
+// every entry in it was computed by this process after passing the same
+// limits, so a hit never rebuilds the topology, and a miss compiles
+// exactly once.
+func (s *Server) handleSim(kind string, prep func(scenario.Scenario) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		sc, err := scenario.Load(r.Body)
@@ -363,7 +367,7 @@ func (s *Server) handleSim(endpoint string, prep func(scenario.Scenario) error, 
 			return
 		}
 
-		key, err := requestKey(endpoint, sc)
+		key, err := requestKey(kind, sc)
 		if err != nil {
 			s.fail(w, http.StatusInternalServerError, err.Error())
 			return
@@ -373,7 +377,8 @@ func (s *Server) handleSim(endpoint string, prep func(scenario.Scenario) error, 
 			s.writeBody(w, "hit", body)
 			return
 		}
-		if status, msg := s.checkLimits(sc); status != 0 {
+		pl, status, msg := s.checkLimits(kind, sc)
+		if status != 0 {
 			s.fail(w, status, msg)
 			return
 		}
@@ -408,15 +413,11 @@ func (s *Server) handleSim(endpoint string, prep func(scenario.Scenario) error, 
 					s.hookBeforeJob()
 				}
 				s.metrics.executions.Add(1)
-				v, err := exec(ctx, sc)
+				rep, err := pl.Run(ctx, s.cfg.SweepWorkers, s.metrics.SweepGauge())
 				if err != nil {
 					return nil, err
 				}
-				b, err := json.MarshalIndent(v, "", "  ")
-				if err != nil {
-					return nil, err
-				}
-				return append(b, '\n'), nil
+				return store.EncodeBody(rep)
 			})
 		})
 		if err != nil {
@@ -436,10 +437,10 @@ func (s *Server) handleSim(endpoint string, prep func(scenario.Scenario) error, 
 }
 
 // checkLimits enforces the size caps shared by the synchronous
-// endpoints and job submission on a canonicalized scenario, compiling
-// the document once. It returns (0, "") for an admissible document,
-// else the HTTP status and message to reject with.
-func (s *Server) checkLimits(sc scenario.Scenario) (int, string) {
+// endpoints and job submission on a canonicalized scenario, and
+// compiles the kind's plan. It returns the plan for an admissible
+// document, else the HTTP status and message to reject with.
+func (s *Server) checkLimits(kind string, sc scenario.Scenario) (*scenario.Plan, int, string) {
 	// The node cap applies to the document's dimensions, before Compile
 	// builds anything: an irregular mesh materializes its whole
 	// adjacency at construction. The scenario is canonical, so L is
@@ -447,42 +448,32 @@ func (s *Server) checkLimits(sc scenario.Scenario) (int, string) {
 	// and fail Compile's validation with a 400.
 	t, l := sc.Topology, max(sc.Topology.L, 1)
 	if t.M > 0 && t.N > 0 && !withinLimit(s.cfg.MaxNodes, t.M, t.N, l) {
-		return http.StatusRequestEntityTooLarge,
+		return nil, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("mesh too large: %d x %d x %d nodes (limit %d)", t.M, t.N, l, s.cfg.MaxNodes)
 	}
-	// A lifetime document compiles inside LifetimeBounds; Compile
-	// rejects a lifetime section combined with reliability, so the
-	// branches below never both apply.
-	var cells, rounds int
-	var err error
-	if sc.Lifetime != nil {
-		cells, rounds, err = sc.LifetimeBounds()
-	} else {
-		_, _, _, err = sc.Compile()
-	}
+	pl, err := scenario.NewPlan(kind, sc)
 	if err != nil {
-		return http.StatusBadRequest, err.Error()
+		return nil, http.StatusBadRequest, err.Error()
 	}
 	if rel := sc.Reliability; rel != nil {
 		// The grids are canonical here, so the product is the exact
 		// number of simulation jobs the study would admit.
 		if !withinLimit(s.cfg.MaxReliabilityJobs, rel.Replications, len(rel.LossRates), len(rel.FailureRates)) {
-			return http.StatusRequestEntityTooLarge,
+			return nil, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("reliability study too large: %d replications x %d loss rates x %d failure rates (limit %d simulation jobs)",
 					rel.Replications, len(rel.LossRates), len(rel.FailureRates), s.cfg.MaxReliabilityJobs)
 		}
 	}
 	if sc.Lifetime != nil {
 		// Every lifetime round is one full broadcast, so cells x
-		// max_rounds is the study's worst-case simulation count. Both
-		// factors are canonical here.
-		if !withinLimit(s.cfg.MaxLifetimeRounds, cells, rounds) {
-			return http.StatusRequestEntityTooLarge,
+		// max_rounds is the study's worst-case simulation count.
+		if !withinLimit(s.cfg.MaxLifetimeRounds, pl.Points(), pl.RoundBound()) {
+			return nil, http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("lifetime study too large: %d cells x %d rounds (limit %d broadcasts)",
-					cells, rounds, s.cfg.MaxLifetimeRounds)
+					pl.Points(), pl.RoundBound(), s.cfg.MaxLifetimeRounds)
 		}
 	}
-	return 0, ""
+	return pl, 0, ""
 }
 
 // withinLimit reports whether the product of non-negative factors is
@@ -524,42 +515,6 @@ func (s *Server) requestTimeout(r *http.Request) (time.Duration, error) {
 // the equivalent synchronous request.
 func requestKey(endpoint string, sc scenario.Scenario) (string, error) {
 	return store.Key(endpoint, sc)
-}
-
-// execScenario runs /v1/run and /v1/scenario bodies; the shape checks
-// in prepRun make the former a single sim.Run.
-func (s *Server) execScenario(ctx context.Context, sc scenario.Scenario) (any, error) {
-	rep, err := sc.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// execSweep broadcasts from every node on the parallel sweep engine
-// and reports one row per source plus the paper's summary statistics —
-// the shared scenario.SweepReport path, so the synchronous endpoint,
-// the job subsystem and the wsnsweep CLI render byte-identical bodies.
-// The request context propagates into the engine, so an expired
-// deadline stops the sweep between jobs.
-func (s *Server) execSweep(ctx context.Context, sc scenario.Scenario) (any, error) {
-	rep, err := sc.SweepReport(ctx, s.cfg.SweepWorkers, s.metrics.SweepGauge())
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// execLifetime runs a multi-round lifetime study on the sweep engine's
-// worker pool — the shared scenario.LifetimeReport path, so the
-// synchronous endpoint, the job subsystem and the wsnlife CLI render
-// byte-identical bodies.
-func (s *Server) execLifetime(ctx context.Context, sc scenario.Scenario) (any, error) {
-	rep, err := sc.LifetimeReport(ctx, s.cfg.SweepWorkers, s.metrics.SweepGauge())
-	if err != nil {
-		return nil, err
-	}
-	return rep, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

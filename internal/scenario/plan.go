@@ -32,8 +32,8 @@ import (
 // work-stealing, retries and process restarts can therefore reorder
 // and re-execute points freely without shifting a single output byte.
 // A job's payloads are Encode's bytes of the same values, and float64
-// survives the JSON round trip exactly, so a job's merged body equals
-// the synchronous one by construction.
+// survives the JSON round trip exactly, so a job merges to the
+// synchronous body; TestPlanGolden checks that round trip per shape.
 
 // Request kinds: one per synchronous endpoint (POST /v1/<kind>) and job
 // kind.
@@ -75,9 +75,7 @@ type Plan struct {
 	topo  grid.Topology
 	proto sim.Protocol
 	cfg   sim.Config
-	// loss and fail are the canonical reliability grid axes.
-	loss, fail []float64
-	life       life.Spec
+	life  life.Spec
 }
 
 // NewPlan canonicalizes and compiles sc for the request kind.
@@ -103,8 +101,9 @@ func NewPlan(kind string, sc Scenario) (*Plan, error) {
 	case kind == KindSweep:
 		p.shape, p.n = shapeSweep, p.topo.NumNodes()
 	case p.sc.Reliability != nil:
-		p.loss, p.fail = p.sc.Reliability.LossRates, p.sc.Reliability.FailureRates
-		p.shape, p.n = shapeReliability, 1+len(p.loss)*len(p.fail)
+		// The rate axes are canonical: sorted, deduplicated, {0} when empty.
+		rel := p.sc.Reliability
+		p.shape, p.n = shapeReliability, 1+len(rel.LossRates)*len(rel.FailureRates)
 	default:
 		p.shape, p.n = shapeWhole, 1
 	}
@@ -172,12 +171,11 @@ func (p *Plan) Exec(ctx context.Context, i int, ck life.Checkpointer, every int)
 		if i == 0 {
 			return p.broadcast(p.sc.Sources[0].Coord())
 		}
-		g := i - 1
+		rel, g := p.sc.Reliability, i-1
 		return mc.RunPoint(ctx, mc.Spec{
 			Topology: p.topo, Protocol: p.proto, Source: p.sc.Sources[0].Coord(), Config: p.cfg,
-			Seed:         p.sc.Reliability.Seed,
-			Replications: p.sc.Reliability.Replications,
-		}, p.loss[g%len(p.loss)], p.fail[g/len(p.loss)])
+			Seed: rel.Seed, Replications: rel.Replications,
+		}, rel.LossRates[g%len(rel.LossRates)], rel.FailureRates[g/len(rel.LossRates)])
 	case shapeLifetime:
 		spec := p.life
 		spec.CheckpointEvery = every
@@ -317,7 +315,7 @@ func collect[T any](parts []any) ([]T, error) {
 	return out, nil
 }
 
-// Encode renders point i's value as its job payload: compact JSON, or
+// Encode renders a point's value as its job payload: compact JSON, or
 // for the whole shape the response body itself.
 func (p *Plan) Encode(v any) ([]byte, error) {
 	if p.shape == shapeWhole {

@@ -265,6 +265,9 @@ func TestCacheHitSkipsCompile(t *testing.T) {
 // calls: whether a call finds a warm engine in sim's per-P pool varies,
 // and a cold engine's arena costs about half a Compile.
 func TestMissCompilesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector defeats sync.Pool reuse and allocates for instrumentation; the figures hold only in normal builds")
+	}
 	const doc = `{"name": "miss-%d", "topology": {"kind": "irregular", "m": 120, "n": 120, "radius": 1.5}, "protocol": "flooding", "sources": [{"x": 1, "y": 1}]}`
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // keep warm engines pooled
 	srv := New(Config{CacheEntries: -1})

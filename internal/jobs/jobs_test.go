@@ -412,6 +412,9 @@ func TestRetryPermanent(t *testing.T) {
 	if n := m.Stats().Failed; n != 1 {
 		t.Errorf("failed counter = %d, want 1", n)
 	}
+	if holdsPlan(m, st.ID) {
+		t.Error("a failed job still holds its compiled plan")
+	}
 
 	broken.Store(false)
 	st2, err := m.Submit(newPlan(t, KindRun, sc))
@@ -428,6 +431,20 @@ func TestRetryPermanent(t *testing.T) {
 	if fin.State != StateDone {
 		t.Fatalf("resubmitted job state = %s (error %q), want done", fin.State, fin.Error)
 	}
+	if holdsPlan(m, st.ID) {
+		t.Error("a done job still holds its compiled plan")
+	}
+}
+
+// holdsPlan reports whether the job still holds its compiled plan; a
+// terminal job must have dropped it.
+func holdsPlan(m *Manager, id string) bool {
+	m.mu.Lock()
+	j := m.jobs[id]
+	m.mu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.pl != nil
 }
 
 // TestWorkStealing pins one worker in each of two shards and checks

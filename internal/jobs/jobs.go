@@ -387,6 +387,11 @@ func (m *Manager) recoverOne(rec record) (bool, error) {
 		subs:     make(map[int]chan Event),
 		finished: make(chan struct{}),
 	}
+	if invalid == nil {
+		// Every job whose document validates gets its payload slots,
+		// whatever its state: a failed one may be resubmitted later.
+		j.payloads = make([][]byte, total)
+	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -430,7 +435,6 @@ func (m *Manager) recoverOne(rec record) (bool, error) {
 	// Queued or running (or done-with-missing-result): scan the store
 	// for points that already finished and queue the rest.
 	j.pl = pl
-	j.payloads = make([][]byte, total)
 	for i := 0; i < total; i++ {
 		key, err := pointKey(rec.Kind, sc, i)
 		if err != nil {
@@ -975,7 +979,7 @@ func (m *Manager) runPoint(ctx context.Context, j *job, pl *scenario.Plan, idx i
 		if perr := m.cfg.Store.Put(key, body); perr != nil {
 			return perr
 		}
-		if j.kind == KindLifetime {
+		if j.kind == scenario.KindLifetime {
 			// The payload is durable; its round-loop checkpoint is spent.
 			if ckey, err := checkpointKey(j.kind, j.sc, idx); err == nil {
 				m.cfg.Store.Delete(ckey)
@@ -997,7 +1001,7 @@ func (m *Manager) execPoint(ctx context.Context, j *job, pl *scenario.Plan, idx 
 		}
 	}
 	var ck life.Checkpointer
-	if m.cfg.Store != nil && j.kind == KindLifetime {
+	if m.cfg.Store != nil && j.kind == scenario.KindLifetime {
 		if key, err := checkpointKey(j.kind, j.sc, idx); err == nil {
 			ck = storeCheckpointer{st: m.cfg.Store, key: key}
 		}

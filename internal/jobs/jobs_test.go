@@ -100,9 +100,9 @@ func TestDifferentialWorkerCounts(t *testing.T) {
 		kind string
 		sc   scenario.Scenario
 	}{
-		{KindSweep, sweepScenario()},
-		{KindScenario, reliabilityScenario()},
-		{KindRun, runScenario()},
+		{scenario.KindSweep, sweepScenario()},
+		{scenario.KindScenario, reliabilityScenario()},
+		{scenario.KindRun, runScenario()},
 	}
 	for _, tc := range cases {
 		want := syncBody(t, tc.kind, tc.sc)
@@ -147,7 +147,7 @@ func TestRestartResume(t *testing.T) {
 			}
 		},
 	})
-	sub, err := m1.Submit(newPlan(t, KindSweep, sc))
+	sub, err := m1.Submit(newPlan(t, scenario.KindSweep, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -218,7 +218,7 @@ func TestRestartResume(t *testing.T) {
 	if !ok {
 		t.Fatal("no result after recovery")
 	}
-	if want := syncBody(t, KindSweep, sc); !bytes.Equal(got, want) {
+	if want := syncBody(t, scenario.KindSweep, sc); !bytes.Equal(got, want) {
 		t.Error("recovered result differs from synchronous body")
 	}
 }
@@ -262,17 +262,17 @@ func TestRecoverInvalidRecords(t *testing.T) {
 		}
 		return id
 	}
-	lifeID := put(KindLifetime, downLife, StateRunning, 8)
-	wideQueuedID := put(KindRun, wide(1), StateQueued, 1)
-	wideDoneID := put(KindRun, wide(2), StateDone, 1)
-	key, err := resultKey(KindRun, wide(2).Canonical())
+	lifeID := put(scenario.KindLifetime, downLife, StateRunning, 8)
+	wideQueuedID := put(scenario.KindRun, wide(1), StateQueued, 1)
+	wideDoneID := put(scenario.KindRun, wide(2), StateDone, 1)
+	key, err := resultKey(scenario.KindRun, wide(2).Canonical())
 	if err != nil {
 		t.Fatalf("result key: %v", err)
 	}
 	if err := st.Put(key, []byte(storedResult)); err != nil {
 		t.Fatalf("put result: %v", err)
 	}
-	validID := put(KindRun, runScenario(), StateQueued, 1)
+	validID := put(scenario.KindRun, runScenario(), StateQueued, 1)
 
 	m := NewManager(Config{Store: st, Workers: 2})
 	defer m.Close(context.Background())
@@ -313,7 +313,7 @@ func TestRecoverInvalidRecords(t *testing.T) {
 		t.Fatalf("valid job = %s %q, want done", fin.State, fin.Error)
 	}
 	got, _ := m.Result(validID)
-	if want := syncBody(t, KindRun, runScenario()); !bytes.Equal(got, want) {
+	if want := syncBody(t, scenario.KindRun, runScenario()); !bytes.Equal(got, want) {
 		t.Error("recovered valid job differs from synchronous body")
 	}
 }
@@ -331,7 +331,7 @@ func TestShortCircuitFromStore(t *testing.T) {
 	sc := runScenario()
 	m1 := NewManager(Config{Store: st1, Workers: 2})
 	defer m1.Close(context.Background())
-	_, want := submitAndWait(t, m1, KindRun, sc)
+	_, want := submitAndWait(t, m1, scenario.KindRun, sc)
 
 	st2, err := store.Open(dir)
 	if err != nil {
@@ -340,7 +340,7 @@ func TestShortCircuitFromStore(t *testing.T) {
 	defer st2.Close()
 	m2 := NewManager(Config{Store: st2, Workers: 2})
 	defer m2.Close(context.Background())
-	stat, got := submitAndWait(t, m2, KindRun, sc)
+	stat, got := submitAndWait(t, m2, scenario.KindRun, sc)
 	if stat.State != StateDone {
 		t.Fatalf("second submit state = %s, want done", stat.State)
 	}
@@ -367,8 +367,8 @@ func TestRetryTransient(t *testing.T) {
 
 	m := NewManager(Config{Workers: 2, RetryBase: time.Millisecond})
 	defer m.Close(context.Background())
-	_, got := submitAndWait(t, m, KindRun, runScenario())
-	if want := syncBody(t, KindRun, runScenario()); !bytes.Equal(got, want) {
+	_, got := submitAndWait(t, m, scenario.KindRun, runScenario())
+	if want := syncBody(t, scenario.KindRun, runScenario()); !bytes.Equal(got, want) {
 		t.Error("retried result differs from synchronous body")
 	}
 	if r := m.Stats().Retries; r != 2 {
@@ -393,7 +393,7 @@ func TestRetryPermanent(t *testing.T) {
 	m := NewManager(Config{Workers: 2, RetryBase: time.Millisecond, RetryMax: 3})
 	defer m.Close(context.Background())
 	sc := runScenario()
-	st, err := m.Submit(newPlan(t, KindRun, sc))
+	st, err := m.Submit(newPlan(t, scenario.KindRun, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -417,7 +417,7 @@ func TestRetryPermanent(t *testing.T) {
 	}
 
 	broken.Store(false)
-	st2, err := m.Submit(newPlan(t, KindRun, sc))
+	st2, err := m.Submit(newPlan(t, scenario.KindRun, sc))
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
 	}
@@ -433,6 +433,78 @@ func TestRetryPermanent(t *testing.T) {
 	}
 	if holdsPlan(m, st.ID) {
 		t.Error("a done job still holds its compiled plan")
+	}
+}
+
+// TestRecoveredFailedJobResubmits: a job that failed before a restart
+// is loaded as failed by Recover, and resubmitting it on the new
+// manager re-queues it: it completes with the synchronous bytes, taking
+// the points that finished before the failure from the store.
+func TestRecoveredFailedJobResubmits(t *testing.T) {
+	var broken atomic.Bool
+	broken.Store(true)
+	testPointFault = func(idx int) error {
+		if idx == 5 && broken.Load() {
+			return errors.New("persistent fault")
+		}
+		return nil
+	}
+	defer func() { testPointFault = nil }()
+
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("open store: %v", err)
+	}
+	sc := sweepScenario()
+	m1 := NewManager(Config{Store: st1, Workers: 1, RetryBase: time.Millisecond, RetryMax: 1})
+	sub, err := m1.Submit(newPlan(t, scenario.KindSweep, sc))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if fin, err := m1.Wait(ctx, sub.ID); err != nil || fin.State != StateFailed {
+		t.Fatalf("first run = %+v (err %v), want failed", fin, err)
+	}
+	if err := m1.Close(ctx); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := st1.Close(); err != nil {
+		t.Fatalf("close store: %v", err)
+	}
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatalf("reopen store: %v", err)
+	}
+	defer st2.Close()
+	m2 := NewManager(Config{Store: st2, Workers: 2})
+	defer m2.Close(context.Background())
+	if resumed, err := m2.Recover(); err != nil || resumed != 0 {
+		t.Fatalf("recover = %d, %v; want 0 jobs re-queued", resumed, err)
+	}
+	if got, ok := m2.Get(sub.ID); !ok || got.State != StateFailed {
+		t.Fatalf("recovered job = %+v (loaded %v), want failed", got, ok)
+	}
+
+	broken.Store(false)
+	if _, err := m2.Submit(newPlan(t, scenario.KindSweep, sc)); err != nil {
+		t.Fatalf("resubmit: %v", err)
+	}
+	fin, err := m2.Wait(ctx, sub.ID)
+	if err != nil {
+		t.Fatalf("wait after resubmit: %v", err)
+	}
+	if fin.State != StateDone || fin.Done != fin.Total {
+		t.Fatalf("resubmitted job = %s %d/%d (error %q), want done", fin.State, fin.Done, fin.Total, fin.Error)
+	}
+	got, _ := m2.Result(sub.ID)
+	if want := syncBody(t, scenario.KindSweep, sc); !bytes.Equal(got, want) {
+		t.Error("resubmitted recovered job differs from synchronous body")
+	}
+	if n := m2.Stats().PointsFromStore; n == 0 {
+		t.Error("resubmitted job recomputed every point; the ones finished before the failure are stored")
 	}
 }
 
@@ -470,7 +542,7 @@ func TestWorkStealing(t *testing.T) {
 		},
 	})
 	defer m.Close(context.Background())
-	st, err := m.Submit(newPlan(t, KindSweep, sc))
+	st, err := m.Submit(newPlan(t, scenario.KindSweep, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -499,7 +571,7 @@ func TestWorkStealing(t *testing.T) {
 	if fin.State != StateDone {
 		t.Fatalf("state = %s, want done", fin.State)
 	}
-	if want := syncBody(t, KindSweep, sc); func() bool {
+	if want := syncBody(t, scenario.KindSweep, sc); func() bool {
 		got, _ := m.Result(st.ID)
 		return !bytes.Equal(got, want)
 	}() {
@@ -514,7 +586,7 @@ func TestSubscribe(t *testing.T) {
 	m := NewManager(Config{Workers: 4})
 	defer m.Close(context.Background())
 	sc := sweepScenario()
-	st, err := m.Submit(newPlan(t, KindSweep, sc))
+	st, err := m.Submit(newPlan(t, scenario.KindSweep, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -595,7 +667,7 @@ func TestSubmitValidation(t *testing.T) {
 		t.Error("unknown kind accepted")
 	}
 	bad := scenario.Scenario{Name: "bad", Topology: scenario.TopologySpec{Kind: "nope", M: 2, N: 2}}
-	if _, err := scenario.NewPlan(KindRun, bad); err == nil {
+	if _, err := scenario.NewPlan(scenario.KindRun, bad); err == nil {
 		t.Error("uncompilable scenario accepted")
 	}
 	if _, ok := m.Get("missing"); ok {
@@ -617,7 +689,7 @@ func TestStatsGauges(t *testing.T) {
 		},
 	})
 	sc := sweepScenario()
-	st, err := m.Submit(newPlan(t, KindSweep, sc))
+	st, err := m.Submit(newPlan(t, scenario.KindSweep, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -645,7 +717,7 @@ func TestStatsGauges(t *testing.T) {
 	if err := m.Close(context.Background()); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if _, err := m.Submit(newPlan(t, KindRun, runScenario())); err == nil {
+	if _, err := m.Submit(newPlan(t, scenario.KindRun, runScenario())); err == nil {
 		t.Error("closed manager accepted a submission")
 	}
 }
@@ -659,11 +731,11 @@ func TestJobIDStable(t *testing.T) {
 	b := runScenario()
 	b.Topology.Kind = "2D4" // canonicalization lowercases
 	b.Protocol = "PAPER"
-	sa, err := m.Submit(newPlan(t, KindRun, a))
+	sa, err := m.Submit(newPlan(t, scenario.KindRun, a))
 	if err != nil {
 		t.Fatalf("submit a: %v", err)
 	}
-	sb, err := m.Submit(newPlan(t, KindRun, b))
+	sb, err := m.Submit(newPlan(t, scenario.KindRun, b))
 	if err != nil {
 		t.Fatalf("submit b: %v", err)
 	}
@@ -710,7 +782,7 @@ func TestSweepJobCompilesOnce(t *testing.T) {
 	points := 24 * 24
 	job := allocatedBytes(1, func() {
 		m := NewManager(Config{Workers: 2})
-		submitAndWait(t, m, KindSweep, sc)
+		submitAndWait(t, m, scenario.KindSweep, sc)
 		if err := m.Close(context.Background()); err != nil {
 			t.Fatal(err)
 		}

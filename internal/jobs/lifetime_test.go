@@ -35,7 +35,7 @@ func lifetimeScenario() scenario.Scenario {
 
 func syncLifetimeBody(t *testing.T, sc scenario.Scenario) []byte {
 	t.Helper()
-	rep, err := newPlan(t, KindLifetime, sc).Run(context.Background(), 4, nil)
+	rep, err := newPlan(t, scenario.KindLifetime, sc).Run(context.Background(), 4, nil)
 	if err != nil {
 		t.Fatalf("sync lifetime: %v", err)
 	}
@@ -54,7 +54,7 @@ func TestLifetimeJobMatchesSync(t *testing.T) {
 	want := syncLifetimeBody(t, sc)
 	for _, workers := range []int{1, 4} {
 		m := NewManager(Config{Workers: workers})
-		_, got := submitAndWait(t, m, KindLifetime, sc)
+		_, got := submitAndWait(t, m, scenario.KindLifetime, sc)
 		if !bytes.Equal(got, want) {
 			t.Errorf("lifetime job with %d workers: result differs from synchronous body", workers)
 		}
@@ -67,12 +67,12 @@ func TestLifetimeJobMatchesSync(t *testing.T) {
 // TestLifetimeKindGate: a lifetime section only runs under the
 // lifetime kind, and the lifetime kind needs a lifetime section.
 func TestLifetimeKindGate(t *testing.T) {
-	for _, kind := range []string{KindRun, KindScenario} {
+	for _, kind := range []string{scenario.KindRun, scenario.KindScenario} {
 		if _, err := scenario.NewPlan(kind, lifetimeScenario()); err == nil {
 			t.Errorf("kind %s accepted a lifetime section", kind)
 		}
 	}
-	if _, err := scenario.NewPlan(KindLifetime, runScenario()); err == nil {
+	if _, err := scenario.NewPlan(scenario.KindLifetime, runScenario()); err == nil {
 		t.Error("lifetime kind accepted a document without a lifetime section")
 	}
 }
@@ -128,7 +128,7 @@ func TestLifetimeCheckpointKillResume(t *testing.T) {
 	}
 	defer st.Close()
 	sc := lifetimeScenario().Canonical()
-	pl := newPlan(t, KindLifetime, sc)
+	pl := newPlan(t, scenario.KindLifetime, sc)
 	// execute returns the point's payload, as a job stores it.
 	execute := func(ctx context.Context, ck life.Checkpointer) ([]byte, error) {
 		v, err := pl.Exec(ctx, 0, ck, 4)
@@ -138,7 +138,7 @@ func TestLifetimeCheckpointKillResume(t *testing.T) {
 		return pl.Encode(v)
 	}
 	const index = 0
-	key, err := checkpointKey(KindLifetime, sc, index)
+	key, err := checkpointKey(scenario.KindLifetime, sc, index)
 	if err != nil {
 		t.Fatalf("checkpoint key: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestLifetimeRestartResume(t *testing.T) {
 			}
 		},
 	})
-	sub, err := m1.Submit(newPlan(t, KindLifetime, sc))
+	sub, err := m1.Submit(newPlan(t, scenario.KindLifetime, sc))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -267,7 +267,7 @@ func TestLifetimeRestartResume(t *testing.T) {
 	// must have been deleted.
 	csc := sc.Canonical()
 	for i := 0; i < total; i++ {
-		key, err := checkpointKey(KindLifetime, csc, i)
+		key, err := checkpointKey(scenario.KindLifetime, csc, i)
 		if err != nil {
 			t.Fatalf("checkpoint key %d: %v", i, err)
 		}

@@ -7,17 +7,11 @@ import (
 	"wsnbcast/internal/store"
 )
 
-// Job kinds mirror the synchronous endpoints: a job's merged result is
-// byte-identical to the corresponding POST /v1/<kind> response body,
-// and is stored under the same content-addressed key. A job executes
-// its kind's scenario.Plan point by point; the plan carries the
-// determinism argument.
-const (
-	KindRun      = scenario.KindRun
-	KindScenario = scenario.KindScenario
-	KindSweep    = scenario.KindSweep
-	KindLifetime = scenario.KindLifetime
-)
+// A job's kind is one of the scenario.Kind* request kinds: its merged
+// result is byte-identical to the corresponding POST /v1/<kind>
+// response body, and is stored under the same content-addressed key. A
+// job executes its kind's scenario.Plan point by point; the plan
+// carries the determinism argument.
 
 // pointKey is the content-addressed store key of one point's payload,
 // derived from the canonical scenario plus the point index so finished

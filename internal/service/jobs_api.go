@@ -40,13 +40,13 @@ type jobSubmitRequest struct {
 // kind, so a job rejects exactly the documents POST /v1/<kind> would.
 func prepForKind(kind string) (func(scenario.Scenario) error, bool) {
 	switch kind {
-	case jobs.KindRun:
+	case scenario.KindRun:
 		return prepRun, true
-	case jobs.KindScenario:
+	case scenario.KindScenario:
 		return prepScenario, true
-	case jobs.KindSweep:
+	case scenario.KindSweep:
 		return prepSweep, true
-	case jobs.KindLifetime:
+	case scenario.KindLifetime:
 		return prepLifetime, true
 	}
 	return nil, false

@@ -99,7 +99,7 @@ func main() {
 	flag.DurationVar(&o.maxTimeout, "max-timeout", 2*time.Minute, "largest deadline a client may request via ?timeout_ms=")
 	flag.IntVar(&o.maxBodyKB, "max-body-kb", 1024, "request body limit in KiB")
 	flag.IntVar(&o.maxNodes, "max-nodes", 1<<17, "largest mesh (in nodes) a request may ask for")
-	flag.IntVar(&o.sweepWorkers, "sweep-workers", 0, "per-request sweep engine pool size (0 = GOMAXPROCS)")
+	flag.IntVar(&o.sweepWorkers, "sweep-workers", 0, "per-request worker pool size of synchronous misses (0 = GOMAXPROCS)")
 	flag.StringVar(&o.storeDir, "store", "", "durable content-addressed result store directory (shared across instances; makes /v1/jobs jobs resumable)")
 	flag.Int64Var(&o.storeMaxBytes, "store-max-bytes", 0, "store object area size cap in bytes; exceeding it evicts oldest results first (0 = unbounded)")
 	flag.IntVar(&o.jobWorkers, "job-workers", 0, "async job worker loops behind /v1/jobs (0 = GOMAXPROCS)")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 
 	"wsnbcast/internal/analysis"
 	"wsnbcast/internal/converge"
@@ -161,6 +162,12 @@ func (p *Plan) RoundBound() int {
 // every `every` rounds (<= 0: life.DefaultCheckpointEvery); the cadence
 // never changes the value, only how much work a killed process repeats.
 func (p *Plan) Exec(ctx context.Context, i int, ck life.Checkpointer, every int) (any, error) {
+	return p.exec(ctx, i, ck, every, 0)
+}
+
+// exec is Exec with the size of a reliability point's replication pool
+// (<= 0: GOMAXPROCS); the size never changes the value.
+func (p *Plan) exec(ctx context.Context, i int, ck life.Checkpointer, every, mcWorkers int) (any, error) {
 	if i < 0 || i >= p.n {
 		return nil, fmt.Errorf("scenario: point %d outside [0, %d)", i, p.n)
 	}
@@ -174,7 +181,7 @@ func (p *Plan) Exec(ctx context.Context, i int, ck life.Checkpointer, every int)
 		rel, g := p.sc.Reliability, i-1
 		return mc.RunPoint(ctx, mc.Spec{
 			Topology: p.topo, Protocol: p.proto, Source: p.sc.Sources[0].Coord(), Config: p.cfg,
-			Seed: rel.Seed, Replications: rel.Replications,
+			Seed: rel.Seed, Replications: rel.Replications, Workers: mcWorkers,
 		}, rel.LossRates[g%len(rel.LossRates)], rel.FailureRates[g/len(rel.LossRates)])
 	case shapeLifetime:
 		spec := p.life
@@ -348,12 +355,21 @@ func decode[T any](raw []byte) (any, error) {
 // Run executes every point on a pool of workers (<= 0: GOMAXPROCS) and
 // merges the values in memory; g, when non-nil, receives pending-point
 // deltas. A cancelled ctx stops the pool between points.
+//
+// The pool is the request's whole concurrency budget: the reliability
+// points in flight share it, each running its replications on
+// workers / min(points, workers) sessions, so one request never holds
+// more than about `workers` simulation sessions at once.
 func (p *Plan) Run(ctx context.Context, workers int, g sweep.Gauge) (Report, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	mcWorkers := max(1, workers/min(p.n, workers))
 	parts := make([]any, p.n)
 	fns := make([]func() error, p.n)
 	for i := range fns {
 		fns[i] = func() (err error) {
-			parts[i], err = p.Exec(ctx, i, nil, 0)
+			parts[i], err = p.exec(ctx, i, nil, 0, mcWorkers)
 			return err
 		}
 	}

@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"wsnbcast/internal/mc"
 )
 
 func load(t *testing.T, doc string) Scenario {
@@ -226,6 +229,29 @@ func TestLoadAllAndRunAll(t *testing.T) {
 	}
 }
 
+// RunAll runs each document as its canonical plan, so a raw document
+// that omits a source's z reports it as z 1, exactly as the served
+// /v1/scenario body does. These bytes are what wsnrun prints.
+func TestRunAllReportsCanonicalSources(t *testing.T) {
+	list, err := LoadAll(strings.NewReader(`{"name": "z", "topology": {"kind": "2D4", "m": 4, "n": 4}, "sources": [{"x": 1, "y": 1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := RunAll(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(reports[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"name":"z","topology":"2d4","protocol":"paper-2d4","runs":[{"source":{"x":1,"y":1,"z":1},` +
+		`"tx":11,"rx":29,"energy_j":0.0010241408,"delay":6,"reached":16,"total":16,"collisions":2,"duplicates":10,"repairs":0}]}`
+	if string(got) != want {
+		t.Errorf("RunAll report =\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestLoadAllSingleObject(t *testing.T) {
 	list, err := LoadAll(strings.NewReader(`{"topology": {"kind": "2d4", "m": 4, "n": 4}}`))
 	if err != nil || len(list) != 1 {
@@ -397,6 +423,69 @@ func TestReliabilityScenario(t *testing.T) {
 	if lossy.LossRate != 0.2 || lossy.Reachability.Mean >= 1 {
 		t.Errorf("lossy point did not degrade: %+v", lossy)
 	}
+}
+
+// Plan.Run's pool is a reliability request's whole concurrency budget:
+// the grid points in flight split it for their replications instead of
+// each starting a GOMAXPROCS pool of its own. Sessions (a copy of the
+// adjacency plus a result arena each) dominate the allocation on this
+// mesh, so the plan must allocate about what one mc.Run pool of the same
+// size does, where nested pools would build points x workers sessions.
+func TestPlanRunSharesOneWorkerBudget(t *testing.T) {
+	const workers = 8
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	s := load(t, `{
+		"topology": {"kind": "2d4", "m": 64, "n": 64},
+		"sources": [{"x": 32, "y": 32}],
+		"reliability": {
+			"seed": 5,
+			"replications": 8,
+			"loss_rates": [0, 0.05, 0.1, 0.2],
+			"failure_rates": [0, 0.1]
+		}
+	}`)
+	p, err := NewPlan(KindScenario, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, proto, cfg, err := p.Scenario().Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := p.Scenario().Reliability
+	var runErr error
+	plan := allocatedBytes(3, func() {
+		if _, err := p.Run(context.Background(), workers, nil); err != nil {
+			runErr = err
+		}
+	})
+	pool := allocatedBytes(3, func() {
+		if _, err := mc.Run(context.Background(), mc.Spec{
+			Topology: topo, Protocol: proto, Source: s.Sources[0].Coord(), Config: cfg,
+			Seed: rel.Seed, Replications: rel.Replications, Workers: workers,
+			LossRates: rel.LossRates, FailureRates: rel.FailureRates,
+		}); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	t.Logf("Plan.Run %.2f MB, one mc.Run pool %.2f MB", plan/1e6, pool/1e6)
+	if plan > 2*pool {
+		t.Errorf("Plan.Run at %d workers allocated %.2f MB, over twice one mc.Run pool's %.2f MB: the grid points nest their own pools",
+			workers, plan/1e6, pool/1e6)
+	}
+}
+
+func allocatedBytes(n int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
 
 func TestReliabilityValidation(t *testing.T) {

@@ -81,7 +81,9 @@ type Config struct {
 	// study may request — cells x max_rounds (<= 0: 4194304); larger
 	// studies reject with 413.
 	MaxLifetimeRounds int
-	// SweepWorkers sizes the per-request sweep engine of /v1/sweep
+	// SweepWorkers sizes the per-request worker pool every synchronous
+	// miss runs its plan on: /v1/sweep's sources, /v1/run and
+	// /v1/scenario's reliability points, /v1/lifetime's cells
 	// (<= 0: GOMAXPROCS).
 	SweepWorkers int
 	// Store, when non-nil, is the durable content-addressed result

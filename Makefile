@@ -100,7 +100,10 @@ vet:
 # pins the bytes of every request shape now that the synchronous and
 # job paths run one plan and can no longer check each other, and
 # TestDifferentialWorkerCounts checks the job path's store round trip
-# and merge against the in-process run.
+# and merge against the in-process run. TestPooledSessionDifferential
+# checks that a released session bound again to another protocol and
+# config carries nothing over, now that Monte Carlo points reuse
+# sessions across grid points and jobs.
 session-guard:
 	@$(GO) test ./internal/sim -run='^$$' -list='^TestSessionDifferentialAllKinds$$' | grep -q '^TestSessionDifferentialAllKinds$$' || \
 		{ echo "verify: TestSessionDifferentialAllKinds missing from internal/sim"; exit 1; }
@@ -110,6 +113,8 @@ session-guard:
 		{ echo "verify: TestSessionCheckpointResumeMatchesReference missing from internal/life"; exit 1; }
 	@$(GO) test ./internal/sim -run='^$$' -list='^TestLargeGridDifferential$$' | grep -q '^TestLargeGridDifferential$$' || \
 		{ echo "verify: TestLargeGridDifferential missing from internal/sim"; exit 1; }
+	@$(GO) test ./internal/sim -run='^$$' -list='^TestPooledSessionDifferential$$' | grep -q '^TestPooledSessionDifferential$$' || \
+		{ echo "verify: TestPooledSessionDifferential missing from internal/sim"; exit 1; }
 	@$(GO) test ./internal/scenario -run='^$$' -list='^TestPlanGolden$$' | grep -q '^TestPlanGolden$$' || \
 		{ echo "verify: TestPlanGolden missing from internal/scenario"; exit 1; }
 	@$(GO) test ./internal/jobs -run='^$$' -list='^TestDifferentialWorkerCounts$$' | grep -q '^TestDifferentialWorkerCounts$$' || \

@@ -18,7 +18,9 @@
 // snapshot) is converted in place: the old snapshot becomes the first
 // history entry. Benchmarks present in only one input appear with the
 // other side null, so a renamed or newly added benchmark is visible
-// rather than silently dropped.
+// rather than silently dropped. Rows pair by name without the "-N"
+// GOMAXPROCS suffix go test appends; each side records its GOMAXPROCS
+// as a field.
 package main
 
 import (
@@ -40,12 +42,14 @@ import (
 // metrics is one side of a before/after pair. Extra holds custom
 // b.ReportMetric columns keyed by their unit — the lifetime
 // benchmarks' "rounds/sec" headline — so domain metrics survive into
-// the history instead of only ns/op.
+// the history instead of only ns/op. GOMAXPROCS is the value the run
+// used, read off the suffix go test appends to benchmark names.
 type metrics struct {
 	NsPerOp     float64            `json:"ns_op"`
 	BytesPerOp  int64              `json:"b_op"`
 	AllocsPerOp int64              `json:"allocs_op"`
 	Iterations  int64              `json:"iterations"`
+	GOMAXPROCS  int                `json:"gomaxprocs"`
 	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
@@ -72,10 +76,15 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\
 
 // parseBench reads `go test -bench` text output, returning metrics
 // keyed by "pkg.Name" (the pkg: header lines scope the names, so equal
-// benchmark names in different packages never collide).
+// benchmark names in different packages never collide). Names are
+// keyed without their GOMAXPROCS suffix (see procsSuffix), so a run at
+// GOMAXPROCS 2 pairs with a baseline recorded at 1.
 func parseBench(r io.Reader) (map[string]metrics, map[string]string, error) {
-	results := make(map[string]metrics)
-	pkgs := make(map[string]string)
+	type row struct {
+		pkg, name string
+		mt        metrics
+	}
+	var rows []row
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -114,11 +123,48 @@ func parseBench(r io.Reader) (map[string]metrics, map[string]string, error) {
 				}
 			}
 		}
-		key := pkg + "." + m[1]
-		results[key] = mt
-		pkgs[key] = pkg
+		rows = append(rows, row{pkg, m[1], mt})
 	}
-	return results, pkgs, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, nil, err
+	}
+	names := make([]string, len(rows))
+	for i, rw := range rows {
+		names[i] = rw.name
+	}
+	suffix, procs := procsSuffix(names)
+	results := make(map[string]metrics)
+	pkgs := make(map[string]string)
+	for _, rw := range rows {
+		rw.mt.GOMAXPROCS = procs
+		key := rw.pkg + "." + strings.TrimSuffix(rw.name, suffix)
+		results[key] = rw.mt
+		pkgs[key] = rw.pkg
+	}
+	return results, pkgs, nil
+}
+
+// procsSuffix returns the "-P" suffix go test appended to the
+// benchmark names of one run, and P, its GOMAXPROCS: go test names a
+// benchmark "BenchmarkLifetime-2" at GOMAXPROCS 2 and leaves the name
+// bare at 1. The suffix is the "-P", P >= 2, that every name ends
+// with; names that merely end in digits (BenchmarkEngine/2D-3 and
+// BenchmarkEngine/2D-4 at GOMAXPROCS 1) share none, and then it is
+// ("", 1).
+func procsSuffix(names []string) (string, int) {
+	suffix := ""
+	for _, n := range names {
+		i := strings.LastIndexByte(n, '-')
+		if i < 0 || (suffix != "" && n[i:] != suffix) {
+			return "", 1
+		}
+		suffix = n[i:]
+	}
+	p, err := strconv.Atoi(strings.TrimPrefix(suffix, "-"))
+	if err != nil || p < 2 {
+		return "", 1
+	}
+	return suffix, p
 }
 
 // merge joins the two parses into sorted entries.

@@ -63,6 +63,44 @@ func TestParseBenchCustomMetricColumns(t *testing.T) {
 	}
 }
 
+// A run at GOMAXPROCS 2 suffixes every name with "-2". The suffix is
+// dropped from the key and kept as the gomaxprocs field, so the row
+// pairs with a baseline recorded at GOMAXPROCS 1, while a name that
+// merely ends in digits keeps them.
+func TestMergePairsAcrossGOMAXPROCS(t *testing.T) {
+	const base = "pkg: wsnbcast/internal/life\n" +
+		"BenchmarkLifetime \t 19\t 60279110 ns/op\t 24145510 B/op\t 3447 allocs/op\n" +
+		"pkg: wsnbcast/internal/sim\n" +
+		"BenchmarkEngine/2D-4 \t 34014\t 36140 ns/op\t 36536 B/op\t 358 allocs/op\n"
+	const cur = "pkg: wsnbcast/internal/life\n" +
+		"BenchmarkLifetime-2 \t 25\t 48000000 ns/op\t 8000000 B/op\t 1200 allocs/op\n" +
+		"pkg: wsnbcast/internal/sim\n" +
+		"BenchmarkEngine/2D-4-2 \t 100000\t 14047 ns/op\t 4640 B/op\t 5 allocs/op\n"
+	before, pkgs, err := parseBench(strings.NewReader(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _, err := parseBench(strings.NewReader(cur))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := merge(before, after, pkgs)
+	if len(entries) != 2 {
+		t.Fatalf("merged %d entries, want 2 pairs: %+v", len(entries), entries)
+	}
+	for _, e := range entries {
+		if e.Before == nil || e.After == nil {
+			t.Fatalf("%s.%s did not pair: before %v, after %v", e.Pkg, e.Name, e.Before, e.After)
+		}
+		if e.Before.GOMAXPROCS != 1 || e.After.GOMAXPROCS != 2 {
+			t.Errorf("%s: gomaxprocs %d -> %d, want 1 -> 2", e.Name, e.Before.GOMAXPROCS, e.After.GOMAXPROCS)
+		}
+	}
+	if entries[0].Name != "BenchmarkLifetime" || entries[1].Name != "BenchmarkEngine/2D-4" {
+		t.Errorf("names %q, %q; want BenchmarkLifetime and BenchmarkEngine/2D-4", entries[0].Name, entries[1].Name)
+	}
+}
+
 func TestParseBenchWithoutBenchmem(t *testing.T) {
 	results, _, err := parseBench(strings.NewReader("pkg: p\nBenchmarkX \t 10\t 123 ns/op\n"))
 	if err != nil {

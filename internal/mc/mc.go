@@ -24,8 +24,11 @@
 // # Sessions
 //
 // A study keeps one sim.Session per busy pool worker, bound to the
-// study's topology, protocol and base config, with the base Down and
-// DownLinks lists applied once. A replication fails its sampled nodes
+// study's topology, protocol and base config; NewSession applies the
+// base Down and DownLinks lists once and checks them with sim.Run's
+// errors. When the study ends it releases the sessions, so the next
+// study or grid point on the same mesh takes them back warm instead of
+// building them again. A replication fails its sampled nodes
 // with SetNodeDown, runs under its seeded loss channel, copies the
 // Record counters out of the session's Result arena and revives the
 // nodes with SetNodeUp. A replication thus allocates no Result and
@@ -211,53 +214,12 @@ func RunPoint(ctx context.Context, spec Spec, loss, failure float64) (Point, err
 	return rep.Points[0], nil
 }
 
-// worker is one pool worker's replication context: a session holding
-// the study's base graph, and the scratch list of the nodes the
-// current replication failed.
+// worker is one pool worker's replication context: a session bound to
+// the study's topology, protocol and base config, and the scratch list
+// of the nodes the current replication failed.
 type worker struct {
 	sess   *sim.Session
 	failed []int32
-}
-
-// newWorker binds a session to the spec and applies the base
-// Config.Down and Config.DownLinks, checking them in sim.Run's order
-// and with its messages so a bad list fails every replication exactly
-// as the one-shot path did.
-func newWorker(spec Spec) (*worker, error) {
-	t := spec.Topology
-	cfg := spec.Config
-	cfg.Down, cfg.DownLinks = nil, nil
-	sess, err := sim.NewSession(t, spec.Protocol, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range spec.Config.Down {
-		if !t.Contains(c) {
-			return nil, fmt.Errorf("sim: down node %s outside mesh", c)
-		}
-		_ = sess.SetNodeDown(t.Index(c)) // in the mesh: checked above
-	}
-	if sess.NodeDown(t.Index(spec.Source)) {
-		return nil, fmt.Errorf("sim: source %s is down", spec.Source)
-	}
-	if len(spec.Config.DownLinks) > 0 {
-		cut := make(map[sim.IndexLink]bool, len(spec.Config.DownLinks))
-		for _, lk := range spec.Config.DownLinks {
-			if !t.Contains(lk.A) || !t.Contains(lk.B) {
-				return nil, fmt.Errorf("sim: down link %s-%s outside %s mesh", lk.A, lk.B, t.Kind())
-			}
-			a, b := int32(t.Index(lk.A)), int32(t.Index(lk.B))
-			cut[sim.IndexLink{A: min(a, b), B: max(a, b)}] = true
-		}
-		// Pairs that are not lattice links match no id: no-ops, as in
-		// sim.Run.
-		for id := 0; id < sess.NumLinks(); id++ {
-			if cut[sess.Link(id)] {
-				_ = sess.SetLinkDown(id) // id < NumLinks
-			}
-		}
-	}
-	return &worker{sess: sess}, nil
 }
 
 // replicate runs replication rep of one grid point on the worker's
@@ -298,9 +260,9 @@ func (w *worker) replicate(spec Spec, loss, fail float64, rep int, seed uint64) 
 }
 
 // workerList is a study's free list of worker sessions. A task takes one,
-// or builds one when all are busy, and returns it when done, so a
-// study builds at most one session per busy pool worker and every
-// session serves every grid point.
+// or takes a new session from sim when all are busy, and returns it
+// when done, so a study holds at most one session per busy pool worker
+// and every session serves every grid point.
 type workerList struct {
 	spec Spec
 	mu   sync.Mutex
@@ -316,13 +278,26 @@ func (ws *workerList) get() (*worker, error) {
 		return w, nil
 	}
 	ws.mu.Unlock()
-	return newWorker(ws.spec)
+	sess, err := sim.NewSession(ws.spec.Topology, ws.spec.Protocol, ws.spec.Config)
+	if err != nil {
+		return nil, err
+	}
+	return &worker{sess: sess}, nil
 }
 
 func (ws *workerList) put(w *worker) {
 	ws.mu.Lock()
 	ws.free = append(ws.free, w)
 	ws.mu.Unlock()
+}
+
+// release hands every worker's session back to sim's session pool once
+// no task runs, so the next study on the same mesh reuses them.
+func (ws *workerList) release() {
+	for _, w := range ws.free {
+		w.sess.Release()
+	}
+	ws.free = nil
 }
 
 // Run executes the study: Replications seeded replications per grid
@@ -373,6 +348,7 @@ func Run(ctx context.Context, spec Spec) (*Report, error) {
 		}
 	}
 	errs, err := sweep.New(spec.Workers).RunFuncs(ctx, fns)
+	ws.release() // RunFuncs has waited for every task
 	if err != nil {
 		// RunFuncs hands its own context error to exactly the tasks the
 		// cancellation kept from starting.

@@ -6,10 +6,11 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"wsnbcast/internal/mc"
+	"wsnbcast/internal/sim"
 )
 
 func load(t *testing.T, doc string) Scenario {
@@ -427,10 +428,11 @@ func TestReliabilityScenario(t *testing.T) {
 
 // Plan.Run's pool is a reliability request's whole concurrency budget:
 // the grid points in flight split it for their replications instead of
-// each starting a GOMAXPROCS pool of its own. Sessions (a copy of the
-// adjacency plus a result arena each) dominate the allocation on this
-// mesh, so the plan must allocate about what one mc.Run pool of the same
-// size does, where nested pools would build points x workers sessions.
+// each starting a GOMAXPROCS pool of its own. Each replication runs on
+// a sim.Session, so the plan may hold at most `workers` sessions at
+// once, where nested pools would hold up to points x workers. The
+// sessions are counted through sim's session hook, so pooled reuse of
+// sessions across points cannot hide a nested pool as bytes could.
 func TestPlanRunSharesOneWorkerBudget(t *testing.T) {
 	const workers = 8
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
@@ -448,44 +450,25 @@ func TestPlanRunSharesOneWorkerBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo, proto, cfg, err := p.Scenario().Compile()
-	if err != nil {
+	var mu sync.Mutex
+	held, peak := 0, 0
+	defer sim.SetSessionHook(sim.SetSessionHook(func(d int) {
+		mu.Lock()
+		held += d
+		peak = max(peak, held)
+		mu.Unlock()
+	}))
+	if _, err := p.Run(context.Background(), workers, nil); err != nil {
 		t.Fatal(err)
 	}
-	rel := p.Scenario().Reliability
-	var runErr error
-	plan := allocatedBytes(3, func() {
-		if _, err := p.Run(context.Background(), workers, nil); err != nil {
-			runErr = err
-		}
-	})
-	pool := allocatedBytes(3, func() {
-		if _, err := mc.Run(context.Background(), mc.Spec{
-			Topology: topo, Protocol: proto, Source: s.Sources[0].Coord(), Config: cfg,
-			Seed: rel.Seed, Replications: rel.Replications, Workers: workers,
-			LossRates: rel.LossRates, FailureRates: rel.FailureRates,
-		}); err != nil {
-			runErr = err
-		}
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
+	t.Logf("Plan.Run at %d workers held at most %d sessions at once", workers, peak)
+	if peak > workers {
+		t.Errorf("Plan.Run at %d workers held %d sessions at once: the grid points nest their own pools",
+			workers, peak)
 	}
-	t.Logf("Plan.Run %.2f MB, one mc.Run pool %.2f MB", plan/1e6, pool/1e6)
-	if plan > 2*pool {
-		t.Errorf("Plan.Run at %d workers allocated %.2f MB, over twice one mc.Run pool's %.2f MB: the grid points nest their own pools",
-			workers, plan/1e6, pool/1e6)
+	if held != 0 {
+		t.Errorf("Plan.Run kept %d sessions after it returned", held)
 	}
-}
-
-func allocatedBytes(n int, f func()) float64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
 
 func TestReliabilityValidation(t *testing.T) {

@@ -148,13 +148,13 @@ func runLoop(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*engine, 
 		// long could not be drained slot-by-slot anyway.
 		return nil, fmt.Errorf("sim: MaxSlots %d exceeds the engine's int32 slot limit", cfg.MaxSlots)
 	}
+	if err := checkDownLists(t, cfg); err != nil {
+		return nil, err
+	}
 	var down []bool
 	if len(cfg.Down) > 0 {
 		down = make([]bool, t.NumNodes())
 		for _, c := range cfg.Down {
-			if !t.Contains(c) {
-				return nil, fmt.Errorf("sim: down node %s outside mesh", c)
-			}
 			down[t.Index(c)] = true
 		}
 		if down[t.Index(src)] {
@@ -198,9 +198,6 @@ func runLoop(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*engine, 
 			}
 		}
 		for _, lk := range cfg.DownLinks {
-			if !t.Contains(lk.A) || !t.Contains(lk.B) {
-				return nil, fmt.Errorf("sim: down link %s-%s outside %s mesh", lk.A, lk.B, t.Kind())
-			}
 			a, b := int32(t.Index(lk.A)), int32(t.Index(lk.B))
 			adj[a] = removeNeighbor(adj[a], b)
 			adj[b] = removeNeighbor(adj[b], a)
@@ -209,6 +206,25 @@ func runLoop(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*engine, 
 
 	e := getEngine(t, p, planFor(t, p, src), src, cfg, ix, adj, down)
 	return e, e.runSchedule()
+}
+
+// checkDownLists checks that every Config.Down node and then every
+// Config.DownLinks endpoint lies in t's mesh. sim.Run and NewSession
+// both check through it, so a bad list fails either with the same
+// error; a down source is the caller's check, made once the source is
+// known.
+func checkDownLists(t grid.Topology, cfg Config) error {
+	for _, c := range cfg.Down {
+		if !t.Contains(c) {
+			return fmt.Errorf("sim: down node %s outside mesh", c)
+		}
+	}
+	for _, lk := range cfg.DownLinks {
+		if !t.Contains(lk.A) || !t.Contains(lk.B) {
+			return fmt.Errorf("sim: down link %s-%s outside %s mesh", lk.A, lk.B, t.Kind())
+		}
+	}
+	return nil
 }
 
 // runSchedule drives the schedule/repair loop to completion on a bound

@@ -69,3 +69,34 @@ func init() {
 // resumed at S > 0. Tests read it before and after a run; the
 // difference is that run's resumed replay count.
 func ResumedReplaysForTest() int64 { return resumedReplays.Load() }
+
+// ReuseSessionForTest releases s and binds it again to (p, cfg), the
+// way NewSession binds a session it takes from s's pool. A sync.Pool
+// may drop what it is given (the race detector drops some on purpose),
+// so tests that must exercise reuse go through here. An invalid cfg
+// fails as NewSession would and leaves s held.
+func ReuseSessionForTest(s *Session, p Protocol, cfg Config) (*Session, error) {
+	cfg, err := sessionConfig(s.topo, p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t, pool := s.topo, s.pool
+	s.retire()
+	return s.bind(t, p, cfg, pool), nil
+}
+
+// RetireForTest releases s as Release does, but keeps it out of the
+// pool, and reports how many per-source plans it kept and how many of
+// those planCache does not hold.
+func RetireForTest(s *Session) (kept, uncached int) {
+	s.retire()
+	for src, pl := range s.plans {
+		kept++
+		m, n, l := s.topo.Size()
+		v, ok := planCache.Load(planKey{kind: s.topo.Kind(), m: m, n: n, l: l, src: int(src), proto: s.proto})
+		if !ok || v.(*relayPlan) != pl {
+			uncached++
+		}
+	}
+	return kept, uncached
+}

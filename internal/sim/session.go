@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"wsnbcast/internal/grid"
 )
@@ -63,14 +64,22 @@ func LinksOf(t grid.Topology) []IndexLink {
 // spliced and refilled in place and no mutation — Reset included —
 // allocates.
 //
+// Sessions of regular meshes below largeGridNodes are pooled per
+// (kind, size): Release hands a session back, and the next NewSession
+// on the same mesh rebinds it instead of building one (see
+// sessionPool).
+//
 // The returned Result and its slices are valid until the next Run,
-// Reset, or mutation on the same session. A Session is not safe for
-// concurrent use.
+// Reset, mutation or Release on the same session. A Session is not
+// safe for concurrent use.
 type Session struct {
 	topo  grid.Topology
 	proto Protocol
-	cfg   Config // defaults applied once at NewSession
+	cfg   Config // defaults applied once at NewSession; Down and DownLinks cleared
 	v     int
+
+	pool *sync.Pool // where Release puts the session; nil: not pooled
+	held bool       // between NewSession and Release
 
 	full [][]int32 // pristine adjacency, never mutated (may be cache-shared)
 	adj  [][]int32 // live adjacency: private rows (cap = pristine length), mutated in place
@@ -93,34 +102,145 @@ type Session struct {
 	arena resultArena
 }
 
-// NewSession validates the configuration once and builds the pristine
-// and live adjacency. Config.Down and Config.DownLinks must be empty:
-// the session owns node and link state via SetNodeDown / SetLinkDown.
+// sessionPools holds released sessions, one sync.Pool per regular
+// mesh below largeGridNodes, keyed like adjCache. A pooled session
+// keeps what is a pure function of its mesh — the live adjacency copy,
+// the link table, the down mask and the Result arena — so the next
+// session on that mesh is built without allocating. An idle session
+// goes away at GC like any pooled object, so nothing retained grows
+// with the number of sessions ever built.
+var sessionPools sync.Map // adjKey -> *sync.Pool
+
+// sessionPool returns t's session pool, or nil when t's sessions are
+// not pooled (Irregular meshes, and meshes of largeGridNodes or more,
+// whose adjacency is not cached either).
+func sessionPool(t grid.Topology) *sync.Pool {
+	if t.Kind() == grid.Irregular || t.NumNodes() >= largeGridNodes {
+		return nil
+	}
+	m, n, l := t.Size()
+	key := adjKey{t.Kind(), m, n, l}
+	v, ok := sessionPools.Load(key)
+	if !ok {
+		v, _ = sessionPools.LoadOrStore(key, new(sync.Pool))
+	}
+	return v.(*sync.Pool)
+}
+
+// sessionHook, when non-nil, is called with +1 by every NewSession and
+// with -1 by every Release that gives a session back. Nil in
+// production; see SetSessionHook.
+var sessionHook func(delta int)
+
+// SetSessionHook installs f as the observer of sessions taken and
+// given back (nil removes it) and returns the observer it replaced.
+// It is a test hook: tests outside this package count through it how
+// many sessions a computation holds at once. It must not be called
+// while sessions are being created or released.
+func SetSessionHook(f func(delta int)) (old func(delta int)) {
+	old, sessionHook = sessionHook, f
+	return old
+}
+
+// NewSession validates the configuration once and binds it to a
+// session: a released one of the same mesh when its pool holds one,
+// else a new one with its own live adjacency. Config.Down and
+// Config.DownLinks become the session's initial node and link state,
+// checked with sim.Run's errors (checkDownLists); from then on the
+// session owns that state through SetNodeDown / SetLinkDown, and Reset
+// revives them too. A down source fails at Run, as it does in sim.Run.
 func NewSession(t grid.Topology, p Protocol, cfg Config) (*Session, error) {
-	if t == nil || p == nil {
-		return nil, fmt.Errorf("sim: session needs a topology and a protocol")
-	}
-	if len(cfg.Down) > 0 || len(cfg.DownLinks) > 0 {
-		return nil, fmt.Errorf("sim: session owns Down and DownLinks; use SetNodeDown/SetLinkDown")
-	}
-	v := t.NumNodes()
-	cfg = cfg.withDefaults(v)
-	if err := cfg.Packet.Validate(); err != nil {
+	cfg, err := sessionConfig(t, p, cfg)
+	if err != nil {
 		return nil, err
 	}
+	pool := sessionPool(t)
+	var s *Session
+	if pool != nil {
+		s, _ = pool.Get().(*Session)
+	}
+	return s.bind(t, p, cfg, pool), nil
+}
+
+// sessionConfig validates a session's inputs, in sim.Run's order, and
+// returns cfg with its defaults applied.
+func sessionConfig(t grid.Topology, p Protocol, cfg Config) (Config, error) {
+	if t == nil || p == nil {
+		return cfg, fmt.Errorf("sim: session needs a topology and a protocol")
+	}
+	cfg = cfg.withDefaults(t.NumNodes())
+	if err := cfg.Packet.Validate(); err != nil {
+		return cfg, err
+	}
 	if cfg.MaxSlots >= math.MaxInt32 {
-		return nil, fmt.Errorf("sim: MaxSlots %d exceeds the engine's int32 slot limit", cfg.MaxSlots)
+		return cfg, fmt.Errorf("sim: MaxSlots %d exceeds the engine's int32 slot limit", cfg.MaxSlots)
 	}
-	s := &Session{
-		topo:  t,
-		proto: p,
-		cfg:   cfg,
-		v:     v,
-		full:  buildAdjacency(t, false),
-		plans: make(map[int32]*relayPlan),
+	return cfg, checkDownLists(t, cfg)
+}
+
+// bind binds a validated (t, p, cfg) to s, a released session of t's
+// pool, or to a new session when s is nil. A reused session's graph is
+// reset; its per-source plans are kept only when p is the same
+// plan-cacheable value they were compiled for, so every kept plan is
+// one planCache also holds.
+func (s *Session) bind(t grid.Topology, p Protocol, cfg Config, pool *sync.Pool) *Session {
+	if s == nil {
+		s = &Session{
+			v:     t.NumNodes(),
+			full:  buildAdjacency(t, false),
+			plans: make(map[int32]*relayPlan),
+		}
+		s.adj = copyAdjacency(s.full)
+	} else {
+		s.Reset()
+		// planCacheable(p) first: comparing two values of one
+		// non-comparable dynamic type would panic.
+		if !planCacheable(p) || s.proto != p {
+			clear(s.plans)
+		}
 	}
-	s.adj = copyAdjacency(s.full)
-	return s, nil
+	s.topo, s.proto, s.pool, s.held = t, p, pool, true
+	for _, c := range cfg.Down {
+		_ = s.SetNodeDown(t.Index(c)) // in the mesh: checkDownLists
+	}
+	for _, lk := range cfg.DownLinks {
+		s.cutLink(int32(t.Index(lk.A)), int32(t.Index(lk.B)))
+	}
+	cfg.Down, cfg.DownLinks = nil, nil
+	s.cfg = cfg
+	if sessionHook != nil {
+		sessionHook(1)
+	}
+	return s
+}
+
+// Release hands the session back for reuse by a later NewSession on
+// the same mesh. The session and any Result it returned must not be
+// used afterwards; a second Release is a no-op. Plans compiled for a
+// protocol that planCache does not hold are dropped here, and so are
+// the protocol and config, so an idle session pins nothing of its
+// last caller.
+func (s *Session) Release() {
+	if !s.held {
+		return
+	}
+	s.retire()
+	if s.pool != nil {
+		s.pool.Put(s)
+	}
+}
+
+// retire is Release's cleanup before the session is pooled.
+func (s *Session) retire() {
+	s.held = false
+	if !planCacheable(s.proto) {
+		clear(s.plans)
+		s.proto = nil
+	}
+	s.cfg = Config{}
+	if sessionHook != nil {
+		sessionHook(-1)
+	}
 }
 
 // NumNodes returns the session topology's node count.
@@ -217,6 +337,19 @@ func (s *Session) SetLinkDown(id int) error {
 	return nil
 }
 
+// cutLink cuts the lattice link between dense nodes a and b, as
+// sim.Run applies a Config.DownLinks entry: a pair that is not a
+// lattice link is a no-op.
+func (s *Session) cutLink(a, b int32) {
+	s.ensureLinks()
+	for k, nb := range s.full[a] {
+		if nb == b {
+			_ = s.SetLinkDown(int(s.rowLink[a][k])) // a rowLink id is in the table
+			return
+		}
+	}
+}
+
 // SetLinkUp restores link id. The two endpoint rows are rebuilt by
 // filtering the pristine rows against the current node and link state,
 // which restores the IndexNeighbors emission order an insertion could
@@ -305,8 +438,9 @@ func (s *Session) ensureLinks() {
 	s.linkDown = make([]bool, len(s.links))
 }
 
-// Reset revives every node and link, restoring the pristine graph by
-// refilling each live row in place from its pristine row (no
+// Reset revives every node and link, those of the construction-time
+// Config.Down and Config.DownLinks included, restoring the pristine
+// graph by refilling each live row in place from its pristine row (no
 // allocation). Plans, arenas, the channel and the link table are
 // retained; a restored checkpoint replays its SetNodeDown/SetLinkDown
 // calls on top of a Reset session to reconstruct the exact live graph.

@@ -445,16 +445,11 @@ func TestSessionRepeatedNodeDown(t *testing.T) {
 }
 
 // Error cases mirror sim.Run: bad source coordinates, a down source,
-// out-of-range mutation targets, and owned config fields.
+// and out-of-range mutation targets. Bad Down/DownLinks lists are
+// TestPooledSessionDownListErrors' matrix.
 func TestSessionErrors(t *testing.T) {
 	topo := grid.NewMesh2D4(6, 6)
 	p := core.ForTopology(grid.Mesh2D4)
-	if _, err := sim.NewSession(topo, p, sim.Config{Down: []grid.Coord{grid.C2(1, 1)}}); err == nil {
-		t.Error("session accepted Config.Down")
-	}
-	if _, err := sim.NewSession(topo, p, sim.Config{DownLinks: []sim.Link{{A: grid.C2(1, 1), B: grid.C2(2, 1)}}}); err == nil {
-		t.Error("session accepted Config.DownLinks")
-	}
 	sess, err := sim.NewSession(topo, p, sim.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -103,7 +103,11 @@ vet:
 # and merge against the in-process run. TestPooledSessionDifferential
 # checks that a released session bound again to another protocol and
 # config carries nothing over, now that Monte Carlo points reuse
-# sessions across grid points and jobs.
+# sessions across grid points and jobs. The engine draws loss through
+# a hoisted key chain, not BernoulliLoss.Deliver: FuzzLossKeyEquivalence
+# holds the two forms to the same verdicts, and
+# TestDifferentialEngineCanonical's lossy and lossy+down cases hold
+# whole lossy runs to the reference engine, which calls Deliver.
 session-guard:
 	@$(GO) test ./internal/sim -run='^$$' -list='^TestSessionDifferentialAllKinds$$' | grep -q '^TestSessionDifferentialAllKinds$$' || \
 		{ echo "verify: TestSessionDifferentialAllKinds missing from internal/sim"; exit 1; }
@@ -119,12 +123,17 @@ session-guard:
 		{ echo "verify: TestPlanGolden missing from internal/scenario"; exit 1; }
 	@$(GO) test ./internal/jobs -run='^$$' -list='^TestDifferentialWorkerCounts$$' | grep -q '^TestDifferentialWorkerCounts$$' || \
 		{ echo "verify: TestDifferentialWorkerCounts missing from internal/jobs"; exit 1; }
+	@$(GO) test ./internal/sim -run='^$$' -list='^TestDifferentialEngineCanonical$$' | grep -q '^TestDifferentialEngineCanonical$$' || \
+		{ echo "verify: TestDifferentialEngineCanonical missing from internal/sim"; exit 1; }
+	@$(GO) test ./internal/sim -run='^$$' -list='^FuzzLossKeyEquivalence$$' | grep -q '^FuzzLossKeyEquivalence$$' || \
+		{ echo "verify: FuzzLossKeyEquivalence missing from internal/sim"; exit 1; }
 
 # Short fuzz smoke — the corpus seeds plus a few seconds of mutation
 # per target; CI runs this on every push. go test -fuzz takes one
 # target per invocation. The churn target proves the lifetime engine's
 # churn draws never collide with the loss/failure/replication key
-# domains; the core targets check every paper protocol reaches every
+# domains; the loss-key target checks the engine's hoisted loss and
+# failure draws against the plain keyed chain; the core targets check every paper protocol reaches every
 # node of fuzzed mesh sizes and sources, and that the protocols are
 # pure functions of their inputs; the scenario target checks the
 # document decoder never panics, canonical identities are stable, and
@@ -132,6 +141,7 @@ session-guard:
 FUZZ_CORE = FuzzMesh4Reachability FuzzMesh8Reachability FuzzMesh3Reachability FuzzMesh3D6Reachability FuzzProtocolPurity
 fuzz-smoke:
 	$(GO) test ./internal/sim -run='^$$' -fuzz='^FuzzChurnDomainDisjoint$$' -fuzztime=5s
+	$(GO) test ./internal/sim -run='^$$' -fuzz='^FuzzLossKeyEquivalence$$' -fuzztime=5s
 	for t in $(FUZZ_CORE); do \
 		$(GO) test ./internal/core -run='^$$' -fuzz="^$$t\$$" -fuzztime=3s || exit 1; \
 	done

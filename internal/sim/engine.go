@@ -51,12 +51,11 @@ type Config struct {
 	// invariant assumes the full lattice adjacency and does not hold
 	// when links are removed.
 	DownLinks []Link
-	// Channel, when non-nil, decides per-link reception (lossy
-	// channels). It must be a pure function of (slot, tx, rx): the
-	// engine replays schedules while planning repairs and relies on a
-	// replayed transmission receiving the same verdict. nil is the
-	// error-free channel.
-	Channel Channel
+	// Channel decides per-link reception: a Bernoulli loss draw per
+	// (slot, tx, rx), a pure function of its coordinates, so a
+	// transmission the repair planner replays receives the same verdict.
+	// The zero value (Rate 0) is the error-free channel.
+	Channel BernoulliLoss
 }
 
 func (c Config) withDefaults(v int) Config {
@@ -371,6 +370,7 @@ type engine struct {
 	nbr    [][]int32            // materialized adjacency (small grids; down nodes removed)
 	down   []bool               // failed-node mask (nil when none); escapes into the Result
 	downN  int                  // number of failed nodes
+	loss   lossKeys             // cfg.Channel with its (Seed, domainLoss) prefix absorbed
 
 	// Arena state, capacity retained across Runs. Per-node scalars are
 	// int32 (struct-of-arrays), per-node booleans are bitsets: the
@@ -419,6 +419,7 @@ func getEngine(t grid.Topology, p Protocol, plan *relayPlan, src grid.Coord, cfg
 	e.src = src
 	e.srcIdx = int32(t.Index(src))
 	e.cfg = cfg
+	e.loss = cfg.Channel.keys()
 	e.ix = ix
 	e.nbr = adj
 	e.down = down
@@ -439,7 +440,7 @@ func (e *engine) release() {
 	e.topo = nil
 	e.proto = nil
 	e.plan = nil
-	e.cfg = Config{} // drops the Trace func, Channel, Down and DownLinks lists
+	e.cfg = Config{} // drops the Trace func, Down and DownLinks lists
 	e.ix = nil
 	e.nbr = nil
 	e.down = nil
@@ -727,7 +728,7 @@ func (e *engine) drain(from int) error {
 func (e *engine) step(slot int, txs []int32) {
 	e.txLog = append(e.txLog, txs...)
 	tracing := e.cfg.Trace != nil
-	ch := e.cfg.Channel
+	lossy := e.loss.lossy()
 	filter := e.liveFilter()
 	touched := e.touched[:0]
 	for _, tx := range txs {
@@ -736,11 +737,15 @@ func (e *engine) step(slot int, txs []int32) {
 		if tracing {
 			e.emit(Event{Slot: slot, Kind: EventTx, Node: e.topo.At(int(tx))})
 		}
+		var key uint64
+		if lossy {
+			key = e.loss.tx(slot, tx)
+		}
 		for _, nb := range e.neighborsOf(tx, &e.nbufStep) {
 			if filter != nil && filter[nb] {
 				continue
 			}
-			if ch != nil && !ch.Deliver(slot, tx, nb) {
+			if lossy && !e.loss.delivers(key, nb) {
 				e.res.Lost++
 				if tracing {
 					e.emit(Event{Slot: slot, Kind: EventLost, Node: e.topo.At(int(nb))})
@@ -1058,28 +1063,33 @@ func (e *engine) finishInto(r *Result, a *resultArena) *Result {
 
 // deriveHeard fills heard, the per-node reception counts, from the
 // final schedule: every transmission reaches each live neighbor of its
-// transmitter unless the channel drops it. The Channel is a pure
-// function of (slot, tx, rx), so re-asking it reproduces the verdicts
+// transmitter unless the channel drops it. The loss draw is a pure
+// function of (slot, tx, rx), so re-drawing it reproduces the verdicts
 // step saw, and the counts equal what a per-reception tally during the
 // final replay would hold — without the replays or rewinds having to
 // maintain one. The error-free channel walks the transmitter log, one
 // increment per reception like step's own loop; a lossy channel needs
-// each transmission's slot and walks the per-node rows instead.
+// each transmission's slot and walks the per-node rows instead, tx then
+// slot then receivers, so each transmission's (slot, tx) key is
+// absorbed once as in step. The counts are sums, so the walk order
+// does not change them.
 func (e *engine) deriveHeard() {
 	heard := e.heard
 	clear(heard)
 	filter := e.liveFilter()
-	if ch := e.cfg.Channel; ch != nil {
+	if e.loss.lossy() {
 		for tx, row := range e.txSlots {
 			if len(row) == 0 {
 				continue
 			}
-			for _, nb := range e.neighborsOf(int32(tx), &e.nbufStep) {
-				if filter != nil && filter[nb] {
-					continue
-				}
-				for _, s := range row {
-					if ch.Deliver(s, int32(tx), nb) {
+			nbs := e.neighborsOf(int32(tx), &e.nbufStep)
+			for _, s := range row {
+				key := e.loss.tx(s, int32(tx))
+				for _, nb := range nbs {
+					if filter != nil && filter[nb] {
+						continue
+					}
+					if e.loss.delivers(key, nb) {
 						heard[nb]++
 					}
 				}

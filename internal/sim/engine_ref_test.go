@@ -235,7 +235,7 @@ func (e *refEngine) step(slot int, txs []int32) {
 		e.res.Tx++
 		e.emit(Event{Slot: slot, Kind: EventTx, Node: e.topo.At(int(tx))})
 		for _, nb := range e.nbr[tx] {
-			if e.cfg.Channel != nil && !e.cfg.Channel.Deliver(slot, tx, nb) {
+			if e.cfg.Channel != (BernoulliLoss{}) && !e.cfg.Channel.Deliver(slot, tx, nb) {
 				e.res.Lost++
 				e.emit(Event{Slot: slot, Kind: EventLost, Node: e.topo.At(int(nb))})
 				continue

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"wsnbcast/internal/grid"
 )
@@ -47,10 +48,15 @@ func mix64(x uint64) uint64 {
 func keyedUint64(words ...uint64) uint64 {
 	h := golden
 	for _, w := range words {
-		h = mix64(h + golden + w)
+		h = absorb(h, w)
 	}
 	return h
 }
+
+// absorb folds one more word into a keyed chain:
+// absorb(keyedUint64(ws...), w) == keyedUint64(ws..., w). Hot loops
+// absorb a shared prefix once and extend it per draw.
+func absorb(h, w uint64) uint64 { return mix64(h + golden + w) }
 
 // keyedUnit maps the keyed draw to a uniform float64 in [0, 1) using
 // the top 53 bits.
@@ -58,46 +64,93 @@ func keyedUnit(words ...uint64) float64 {
 	return float64(keyedUint64(words...)>>11) * 0x1p-53
 }
 
-// Channel decides per-link reception. Deliver reports whether rx hears
-// tx's transmission in the given slot; a dropped copy contributes
-// nothing at rx — no reception, no energy, no collision. Deliver must
-// be a pure function of its arguments: the engine replays schedules
-// during repair planning and the sweep engine calls it from many
-// goroutines, so any draw may be evaluated several times and in any
-// order, and must come out the same every time.
-type Channel interface {
-	Deliver(slot int, tx, rx int32) bool
+// unitCut is a threshold on keyedUnit's uniform in integer form: for
+// every draw x, float64(x>>11)*2⁻⁵³ >= rate iff x>>11 >= unitCut(rate).
+// The uniform is k·2⁻⁵³ for an integer k < 2⁵³, and scaling rate by 2⁵³
+// is exact (subnormals included), so k >= rate·2⁵³ iff k >= the
+// ceiling. Rates ≤ 0 give 0, which every draw reaches; NaN and rates
+// above 1 give 2⁵³, which none does — exactly as the float compare
+// behaves.
+func unitCut(rate float64) uint64 {
+	switch {
+	case rate <= 0:
+		return 0
+	case rate <= 1:
+		return uint64(math.Ceil(rate * 0x1p53))
+	default:
+		return 1 << 53
+	}
 }
 
-// BernoulliLoss is a Channel that drops each (slot, tx, rx) reception
-// independently with probability Rate, using counter-based draws keyed
-// by (Seed, slot, tx, rx). The zero Rate delivers everything; two
-// channels with equal seeds and different rates share their underlying
-// uniforms, so raising the rate only ever removes deliveries.
+// BernoulliLoss is the lossy channel: it drops each (slot, tx, rx)
+// reception independently with probability Rate, using counter-based
+// draws keyed by (Seed, slot, tx, rx). A dropped copy contributes
+// nothing at rx — no reception, no energy, no collision. The zero Rate
+// is the error-free channel, and the zero value is what Config holds
+// by default. Two channels with equal seeds and different rates share
+// their underlying uniforms, so raising the rate only ever removes
+// deliveries.
+//
+// Every verdict is a pure function of (Seed, Rate, slot, tx, rx): the
+// engine replays schedules during repair planning and the sweep engine
+// runs from many goroutines, so any draw may be evaluated several
+// times and in any order, and comes out the same every time.
 type BernoulliLoss struct {
 	Seed uint64
 	Rate float64
 }
 
-// NewBernoulliLoss returns the lossy channel, or nil when rate <= 0 so
-// the engine keeps its exact zero-overhead deterministic path. It
-// panics when rate is not in [0, 1] — callers validate user input
-// before building configs.
-func NewBernoulliLoss(seed uint64, rate float64) Channel {
-	if rate < 0 || rate > 1 {
+// NewBernoulliLoss returns the lossy channel, or the zero (error-free)
+// channel when rate is 0 so the engine keeps its exact deterministic
+// path. It panics when rate is not in [0, 1], NaN included — callers
+// validate user input before building configs.
+func NewBernoulliLoss(seed uint64, rate float64) BernoulliLoss {
+	if !(rate >= 0 && rate <= 1) {
 		panic(fmt.Sprintf("sim: loss rate %g outside [0, 1]", rate))
 	}
-	if rate <= 0 {
-		return nil
+	if rate == 0 {
+		return BernoulliLoss{}
 	}
 	return BernoulliLoss{Seed: seed, Rate: rate}
 }
 
-// Deliver implements Channel: the copy arrives iff the link's uniform
-// clears the loss threshold.
+// Deliver reports whether rx hears tx's transmission in the given
+// slot: the copy arrives iff the link's uniform clears the loss
+// threshold. It hashes the whole five-word chain per call; the engine
+// takes the hoisted form (lossKeys) instead, and the package's tests
+// hold the two to the same verdicts.
 func (b BernoulliLoss) Deliver(slot int, tx, rx int32) bool {
 	u := keyedUnit(b.Seed, domainLoss, uint64(slot), uint64(uint32(tx)), uint64(uint32(rx)))
 	return u >= b.Rate
+}
+
+// lossKeys is a BernoulliLoss in the engine's hoisted form: the chain
+// prefix (Seed, domainLoss) absorbed once per Run, each transmission's
+// (slot, tx) absorbed once for all its receivers, and the rate as an
+// integer threshold on the draw's top 53 bits. A lossy reception then
+// costs one mix64 and an integer compare.
+type lossKeys struct {
+	prefix uint64
+	cut    uint64 // unitCut(Rate); 0 is the error-free channel
+}
+
+func (b BernoulliLoss) keys() lossKeys {
+	return lossKeys{prefix: keyedUint64(b.Seed, domainLoss), cut: unitCut(b.Rate)}
+}
+
+// lossy reports whether any reception can be dropped.
+func (l lossKeys) lossy() bool { return l.cut != 0 }
+
+// tx returns the chain key shared by every receiver of tx's
+// transmission in slot.
+func (l lossKeys) tx(slot int, tx int32) uint64 {
+	return absorb(absorb(l.prefix, uint64(slot)), uint64(uint32(tx)))
+}
+
+// delivers reports whether rx hears the transmission keyed k — the
+// verdict Deliver gives for the same (slot, tx, rx).
+func (l lossKeys) delivers(k uint64, rx int32) bool {
+	return absorb(k, uint64(uint32(rx)))>>11 >= l.cut
 }
 
 // ReplicationSeed derives the seed of replication rep from a study
@@ -143,15 +196,18 @@ func SampleFailures(t grid.Topology, src grid.Coord, seed uint64, rate float64) 
 // the form a Session's SetNodeDown takes, with no Coord round-trip and
 // no allocation once dst has grown.
 func AppendFailures(dst []int32, t grid.Topology, src grid.Coord, seed uint64, rate float64) []int32 {
-	if rate < 0 || rate > 1 {
+	if !(rate >= 0 && rate <= 1) {
 		panic(fmt.Sprintf("sim: failure rate %g outside [0, 1]", rate))
 	}
-	if rate <= 0 {
+	if rate == 0 {
 		return dst
 	}
+	// Node i fails iff keyedUnit(seed, domainFailure, i) < rate: the
+	// (seed, domainFailure) prefix is absorbed once for the whole mesh.
+	prefix, cut := keyedUint64(seed, domainFailure), unitCut(rate)
 	srcIdx := t.Index(src)
 	for i := 0; i < t.NumNodes(); i++ {
-		if i != srcIdx && keyedUnit(seed, domainFailure, uint64(i)) < rate {
+		if i != srcIdx && absorb(prefix, uint64(i))>>11 < cut {
 			dst = append(dst, int32(i))
 		}
 	}

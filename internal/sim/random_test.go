@@ -38,18 +38,24 @@ func TestKeyedDrawsPinned(t *testing.T) {
 	if got := keyedUint64(42, domainLoss, 7, 3, 4); got != 0x1ba1eebe8788012d {
 		t.Errorf("keyedUint64(42, loss, 7, 3, 4) = %#x (pinned value drifted)", got)
 	}
+	// The same pin through the engine's hoisted form: per-Run prefix,
+	// per-transmission key, one absorb per receiver.
+	keys := BernoulliLoss{Seed: 42, Rate: 0.5}.keys()
+	if got := absorb(keys.tx(7, 3), 4); got != 0x1ba1eebe8788012d {
+		t.Errorf("hoisted (42, loss, 7, 3, 4) = %#x (pinned value drifted)", got)
+	}
 	if u := keyedUnit(42, domainFailure, 9); u < 0 || u >= 1 {
 		t.Errorf("keyedUnit out of [0,1): %g", u)
 	}
 }
 
 func TestBernoulliLossBasics(t *testing.T) {
-	if NewBernoulliLoss(1, 0) != nil {
-		t.Error("rate 0 should return the nil (perfect) channel")
+	if NewBernoulliLoss(1, 0) != (BernoulliLoss{}) {
+		t.Error("rate 0 should return the zero (perfect) channel")
 	}
 	ch := NewBernoulliLoss(1, 0.3)
-	if ch == nil {
-		t.Fatal("rate 0.3 returned nil channel")
+	if !ch.keys().lossy() {
+		t.Fatal("rate 0.3 returned an error-free channel")
 	}
 	// Pure function: repeated evaluation agrees.
 	for slot := 0; slot < 50; slot++ {
@@ -76,12 +82,16 @@ func TestBernoulliLossBasics(t *testing.T) {
 			t.Fatal("delivery at rate 0.4 that is lost at rate 0.1 (coupling broken)")
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range rate not rejected")
-		}
-	}()
-	NewBernoulliLoss(0, 1.5)
+	for _, rate := range []float64{1.5, -0.1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("loss rate %g not rejected", rate)
+				}
+			}()
+			NewBernoulliLoss(0, rate)
+		}()
+	}
 }
 
 func TestSampleFailures(t *testing.T) {
@@ -113,6 +123,16 @@ func TestSampleFailures(t *testing.T) {
 		if !set[c] {
 			t.Fatalf("node %s down at rate 0.1 but alive at 0.3", c)
 		}
+	}
+	for _, rate := range []float64{1.5, -0.1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("failure rate %g not rejected", rate)
+				}
+			}()
+			SampleFailures(topo, src, 7, rate)
+		}()
 	}
 	// Per-node keying: draws are independent of the source position.
 	other := SampleFailures(topo, grid.C2(1, 1), 7, 0.1)
@@ -265,4 +285,51 @@ func TestReplicationSeedCollisionFree(t *testing.T) {
 			seen[s] = r
 		}
 	}
+}
+
+// FuzzLossKeyEquivalence holds the engine's hoisted draws to the plain
+// keyed chain they replace: the per-transmission key plus the integer
+// threshold must give Deliver's verdict, keyedUnit(seed, loss, slot,
+// tx, rx) >= rate, for any coordinates and any rate — 0, 1, subnormal,
+// negative, NaN and above 1 included — and AppendFailures' hoisted
+// draw must be keyedUnit(seed, fail, i), failing the node iff it is
+// below any rate AppendFailures accepts.
+func FuzzLossKeyEquivalence(f *testing.F) {
+	f.Add(uint64(42), 7, int32(3), int32(4), 0.5)
+	f.Add(uint64(0), 0, int32(0), int32(0), 0.0)
+	f.Add(uint64(1), 1, int32(2), int32(3), 1.0)
+	f.Add(uint64(9), 100, int32(511), int32(510), 5e-324)
+	f.Add(uint64(9), 3, int32(-1), int32(7), math.SmallestNonzeroFloat64*(1<<40))
+	f.Add(uint64(3), 1<<40, int32(5), int32(6), 1-0x1p-53)
+	f.Add(uint64(3), -2, int32(5), int32(6), math.NaN())
+	f.Add(uint64(5), 12, int32(8), int32(1), -0.25)
+	f.Add(uint64(5), 12, int32(8), int32(1), 1.75)
+	// Rates on and just above a draw's own uniform: the threshold's
+	// rounding and its >= are where an integer form could slip.
+	u := keyedUnit(42, domainLoss, 7, 3, 4)
+	f.Add(uint64(42), 7, int32(3), int32(4), u)
+	f.Add(uint64(42), 7, int32(3), int32(4), math.Nextafter(u, 1))
+	f.Fuzz(func(t *testing.T, seed uint64, slot int, tx, rx int32, rate float64) {
+		ch := BernoulliLoss{Seed: seed, Rate: rate}
+		keys := ch.keys()
+		u := keyedUnit(seed, domainLoss, uint64(slot), uint64(uint32(tx)), uint64(uint32(rx)))
+		want := u >= rate
+		if got := keys.delivers(keys.tx(slot, tx), rx); got != want {
+			t.Fatalf("hoisted verdict %v, keyedUnit %v >= rate %v is %v", got, u, rate, want)
+		}
+		if ch.Deliver(slot, tx, rx) != want {
+			t.Fatalf("Deliver disagrees with keyedUnit >= rate %v", rate)
+		}
+		if !keys.lossy() && !want {
+			t.Fatalf("rate %v takes the error-free path but drops a copy", rate)
+		}
+		i := uint64(uint32(rx))
+		x := absorb(keyedUint64(seed, domainFailure), i)
+		if fu := keyedUnit(seed, domainFailure, i); float64(x>>11)*0x1p-53 != fu {
+			t.Fatalf("hoisted failure draw %#x is not keyedUnit(%d, fail, %d) = %v", x, seed, i, fu)
+		} else if rate >= 0 && rate <= 1 && (x>>11 < unitCut(rate)) != (fu < rate) {
+			// AppendFailures rejects every other rate, NaN included.
+			t.Fatalf("failure verdict at rate %v disagrees with keyedUnit %v < rate", rate, fu)
+		}
+	})
 }

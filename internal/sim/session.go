@@ -315,10 +315,10 @@ func (s *Session) SetNodeUp(i int) error {
 	return nil
 }
 
-// SetChannel sets the loss channel of the following Runs (nil: the
-// error-free channel), replacing Config.Channel. The channel is
-// configuration, not graph state: mutations and Reset keep it.
-func (s *Session) SetChannel(ch Channel) { s.cfg.Channel = ch }
+// SetChannel sets the loss channel of the following Runs (the zero
+// value: the error-free channel), replacing Config.Channel. The channel
+// is configuration, not graph state: mutations and Reset keep it.
+func (s *Session) SetChannel(ch BernoulliLoss) { s.cfg.Channel = ch }
 
 // SetLinkDown cuts link id (a LinksOf index): both directions leave
 // the radio graph by editing exactly the two endpoint rows. Idempotent.

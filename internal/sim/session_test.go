@@ -262,7 +262,7 @@ func TestSessionNodeUpDifferential(t *testing.T) {
 						h.nodeUp(i)
 					}
 				}
-				var ch sim.Channel
+				var ch sim.BernoulliLoss
 				if step%2 == 1 {
 					ch = sim.NewBernoulliLoss(uint64(step), 0.1)
 				}
@@ -528,5 +528,26 @@ func TestSessionAllocationBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("SetNodeDown/SetNodeUp/Reset allocate %.1f/op, budget is 0", allocs)
+	}
+
+	// A Monte Carlo replication's channel switch: the channel is a plain
+	// value, not boxed, so SetChannel plus a warm lossy Run allocates
+	// nothing. The seeds cycle through a set warmed up front.
+	lossy := func(i int) {
+		sess.SetChannel(sim.NewBernoulliLoss(uint64(i%4), 0.1))
+		if _, err := sess.Run(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		lossy(i)
+	}
+	rep := 0
+	allocs = testing.AllocsPerRun(100, func() {
+		rep++
+		lossy(rep)
+	})
+	if allocs != 0 {
+		t.Errorf("SetChannel plus a warm lossy session Run allocates %.1f/op, budget is 0", allocs)
 	}
 }

@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-engine bench-scale bench-json bench-regress benchstat vet verify session-guard fuzz-smoke golden cover jobs-e2e
+.PHONY: all build test race bench bench-engine bench-scale bench-json bench-regress benchstat vet verify session-guard fuzz-smoke golden cover jobs-e2e layout
 
 all: verify
 
@@ -162,8 +162,16 @@ cover:
 jobs-e2e:
 	./scripts/jobs_e2e.sh
 
+# Code layout of the perfbench binary: the address mod 64 of the
+# lifetime, engine and Monte Carlo hot functions. Perf readings on
+# lifetime-static move with these alignments, so record this output for
+# both trees of a before/after comparison.
+layout:
+	./scripts/layout.sh
+
 # Regenerate the golden files after an intended output change.
 golden:
 	$(GO) test ./internal/experiments -run Golden -update
 	$(GO) test ./internal/mc -run Golden -update
 	$(GO) test ./internal/scenario -run PlanGolden -update
+	$(GO) test ./cmd/wsnsweep -run SweepGolden -update

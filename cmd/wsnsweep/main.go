@@ -3,9 +3,10 @@
 // delay, collisions and repairs. This is the raw data behind Tables
 // 3-5.
 //
-// The sweeps run on the parallel sweep engine (internal/sweep); rows
-// are gathered in job order, so the CSV is byte-identical for every
-// -workers value.
+// Each topology runs the same plan as wsnserved's /v1/sweep for that
+// mesh (scenario.Plan, one point per source on a -workers pool); rows
+// come out in source order, so the CSV is byte-identical for every
+// -workers value and with or without -store.
 //
 // Usage:
 //
@@ -17,9 +18,10 @@
 //	wsnsweep -store DIR            # share wsnserved's durable result store
 //
 // With -store, each topology's sweep is served from (and written to)
-// the same content-addressed store wsnserved uses, so sweeps the
-// service already answered emit their CSV without simulating — and
-// sweeps computed here serve later /v1/sweep requests.
+// the same content-addressed store wsnserved uses, under the same key,
+// so sweeps the service already answered emit their CSV without
+// simulating — and sweeps computed here serve later /v1/sweep
+// requests.
 package main
 
 import (
@@ -37,7 +39,6 @@ import (
 	"wsnbcast/internal/scenario"
 	"wsnbcast/internal/sim"
 	"wsnbcast/internal/store"
-	"wsnbcast/internal/sweep"
 )
 
 func main() {
@@ -87,46 +88,19 @@ func protocol(name string, k grid.Kind) (sim.Protocol, error) {
 	}
 }
 
-// jobs builds the full job list: every source of every selected
-// topology, in topology-then-source order. The engine's outcome order
-// matches, so the CSV rows below come out identical to a serial loop.
-func jobs(topoName, protoName string, m, n, l int) ([]sweep.Job, error) {
-	ks, err := kinds(topoName)
-	if err != nil {
-		return nil, err
+// topology sizes one mesh: canonical unless -m/-n name a custom size.
+func topology(k grid.Kind, m, n, l int) (grid.Topology, error) {
+	if m == 0 && n == 0 {
+		return grid.Canonical(k), nil
 	}
-	var out []sweep.Job
-	for _, k := range ks {
-		topo := grid.Canonical(k)
-		if m > 0 && n > 0 {
-			depth := 1
-			if k == grid.Mesh3D6 {
-				depth = l
-				if depth <= 0 {
-					depth = 1
-				}
-			}
-			topo = grid.New(k, m, n, depth)
-		}
-		p, err := protocol(protoName, k)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sweep.SourceJobs(topo, p, sim.Config{})...)
+	if m < 1 || n < 1 {
+		return nil, fmt.Errorf("mesh needs -m and -n >= 1")
 	}
-	return out, nil
-}
-
-func row(j sweep.Job, r *sim.Result) []string {
-	return []string{
-		j.Topology.Kind().String(), j.Protocol.Name(),
-		strconv.Itoa(j.Source.X), strconv.Itoa(j.Source.Y), strconv.Itoa(j.Source.Z),
-		strconv.Itoa(r.Tx), strconv.Itoa(r.Rx),
-		strconv.FormatFloat(r.EnergyJ, 'e', 6, 64),
-		strconv.Itoa(r.Delay), strconv.Itoa(r.Collisions),
-		strconv.Itoa(r.Duplicates), strconv.Itoa(r.Repairs),
-		strconv.Itoa(r.Reached), strconv.Itoa(r.Total),
+	depth := 1
+	if k == grid.Mesh3D6 && l > 0 {
+		depth = l
 	}
+	return grid.New(k, m, n, depth), nil
 }
 
 func run(topoName, protoName string, m, n, l, workers int, storeDir string) error {
@@ -142,6 +116,16 @@ func run(topoName, protoName string, m, n, l, workers int, storeDir string) erro
 	if _, err := protocol(protoName, ks[0]); err != nil {
 		return err
 	}
+	if _, err := topology(ks[0], m, n, l); err != nil {
+		return err
+	}
+	var st *store.Store
+	if storeDir != "" {
+		if st, err = store.Open(storeDir); err != nil {
+			return fmt.Errorf("open store: %w", err)
+		}
+		defer st.Close()
+	}
 	w := csv.NewWriter(os.Stdout)
 	defer w.Flush()
 	header := []string{"topology", "protocol", "src_x", "src_y", "src_z",
@@ -149,88 +133,17 @@ func run(topoName, protoName string, m, n, l, workers int, storeDir string) erro
 	if err := w.Write(header); err != nil {
 		return err
 	}
-	if storeDir != "" {
-		return runStored(w, ks, protoName, m, n, l, workers, storeDir)
-	}
-	js, err := jobs(topoName, protoName, m, n, l)
-	if err != nil {
-		return err
-	}
-	outs, err := sweep.New(workers).Run(context.Background(), js)
-	if err != nil {
-		return err
-	}
-	for _, o := range outs {
-		if o.Err != nil {
-			return fmt.Errorf("%s: %w", o.Job, o.Err)
-		}
-		if err := w.Write(row(o.Job, o.Result)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runStored serves each topology's sweep through the durable
-// content-addressed store shared with wsnserved: the flags compile to
-// the canonical /v1/sweep scenario document per topology, so a sweep
-// the service (or a previous invocation) already computed prints
-// without simulating, and fresh sweeps are stored for both to reuse.
-// The CSV is byte-identical to the direct path — rows reconstruct from
-// the stored report's runs, which round-trip float64 exactly.
-func runStored(w *csv.Writer, ks []grid.Kind, protoName string, m, n, l, workers int, storeDir string) error {
-	st, err := store.Open(storeDir)
-	if err != nil {
-		return fmt.Errorf("open store: %w", err)
-	}
-	defer st.Close()
 	for _, k := range ks {
-		topo := grid.Canonical(k)
-		if m > 0 && n > 0 {
-			depth := 1
-			if k == grid.Mesh3D6 {
-				depth = l
-				if depth <= 0 {
-					depth = 1
-				}
-			}
-			topo = grid.New(k, m, n, depth)
-		}
-		p, err := protocol(protoName, k)
+		topo, err := topology(k, m, n, l)
 		if err != nil {
 			return err
 		}
-		tm, tn, tl := topo.Size()
-		spec := scenario.TopologySpec{Kind: kindDoc(k), M: tm, N: tn}
-		if tl > 1 {
-			spec.L = tl
-		}
-		sc := scenario.Scenario{Topology: spec, Protocol: strings.ToLower(protoName)}.Canonical()
-		key, err := store.Key("sweep", sc)
+		rep, err := sweepReport(topo, protoName, workers, st)
 		if err != nil {
 			return err
-		}
-		body, ok := st.Get(key)
-		if !ok {
-			pl, err := scenario.NewPlan(scenario.KindSweep, sc)
-			if err != nil {
-				return err
-			}
-			rep, err := pl.Run(context.Background(), workers, nil)
-			if err != nil {
-				return err
-			}
-			if body, err = store.EncodeBody(rep); err != nil {
-				return err
-			}
-			st.Put(key, body)
-		}
-		var rep scenario.Report
-		if err := json.Unmarshal(body, &rep); err != nil {
-			return fmt.Errorf("stored result for %s: %w", key, err)
 		}
 		for i := range rep.Runs {
-			if err := w.Write(storedRow(k, p, &rep.Runs[i])); err != nil {
+			if err := w.Write(row(k, rep.Protocol, &rep.Runs[i])); err != nil {
 				return err
 			}
 		}
@@ -238,11 +151,55 @@ func runStored(w *csv.Writer, ks []grid.Kind, protoName string, m, n, l, workers
 	return nil
 }
 
-// storedRow renders one stored run as the same CSV row the direct
-// path produces.
-func storedRow(k grid.Kind, p sim.Protocol, r *scenario.RunReport) []string {
+// sweepReport runs the canonical /v1/sweep plan of one topology on a
+// pool of workers. With a store (non-nil st), a sweep the service or a
+// previous invocation already computed is served without simulating,
+// and a fresh one is stored for both to reuse; the stored body
+// round-trips float64 exactly, so the CSV does not depend on where the
+// report came from.
+func sweepReport(topo grid.Topology, protoName string, workers int, st *store.Store) (scenario.Report, error) {
+	tm, tn, tl := topo.Size()
+	spec := scenario.TopologySpec{Kind: kindDoc(topo.Kind()), M: tm, N: tn}
+	if tl > 1 {
+		spec.L = tl
+	}
+	sc := scenario.Scenario{Topology: spec, Protocol: strings.ToLower(protoName)}.Canonical()
+	var key string
+	if st != nil {
+		var err error
+		if key, err = store.Key(scenario.KindSweep, sc); err != nil {
+			return scenario.Report{}, err
+		}
+		if body, ok := st.Get(key); ok {
+			var rep scenario.Report
+			if err := json.Unmarshal(body, &rep); err != nil {
+				return scenario.Report{}, fmt.Errorf("stored result for %s: %w", key, err)
+			}
+			return rep, nil
+		}
+	}
+	pl, err := scenario.NewPlan(scenario.KindSweep, sc)
+	if err != nil {
+		return scenario.Report{}, err
+	}
+	rep, err := pl.Run(context.Background(), workers, nil)
+	if err != nil {
+		return scenario.Report{}, err
+	}
+	if st != nil {
+		body, err := store.EncodeBody(rep)
+		if err != nil {
+			return scenario.Report{}, err
+		}
+		st.Put(key, body)
+	}
+	return rep, nil
+}
+
+// row renders one source's broadcast as a CSV row.
+func row(k grid.Kind, proto string, r *scenario.RunReport) []string {
 	return []string{
-		k.String(), p.Name(),
+		k.String(), proto,
 		strconv.Itoa(r.Source.X), strconv.Itoa(r.Source.Y), strconv.Itoa(r.Source.Z),
 		strconv.Itoa(r.Tx), strconv.Itoa(r.Rx),
 		strconv.FormatFloat(r.EnergyJ, 'e', 6, 64),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,8 @@ import (
 	"wsnbcast/internal/service"
 	"wsnbcast/internal/store"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden CSV files")
 
 func capture(t *testing.T, f func() error) (string, error) {
 	t.Helper()
@@ -86,6 +89,64 @@ func TestSweepWorkersByteIdentical(t *testing.T) {
 		}
 		if out != want {
 			t.Errorf("workers=%d output differs from workers=1", workers)
+		}
+	}
+}
+
+// TestSweepGolden pins the CSV bytes of the paper protocol on all four
+// kinds and of jittered flooding on 2D-8, computed fresh and served
+// from a store, at one and four workers. Regenerate with -update after
+// an intended output change.
+func TestSweepGolden(t *testing.T) {
+	cases := []struct {
+		golden, topo, proto string
+		m, n, l             int
+	}{
+		{"paper-8x4x2.golden", "", "paper", 8, 4, 2},
+		{"flooding-jitter-2d8-5x4.golden", "2d8", "flooding-jitter", 5, 4, 0},
+	}
+	for _, tc := range cases {
+		path := filepath.Join("testdata", tc.golden)
+		if *update {
+			out, err := capture(t, func() error { return run(tc.topo, tc.proto, tc.m, tc.n, tc.l, 1, "") })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			dir := filepath.Join(t.TempDir(), "store")
+			// "" computes directly; the store runs twice: computed and
+			// stored, then served from the store.
+			for i, storeDir := range []string{"", dir, dir} {
+				out, err := capture(t, func() error { return run(tc.topo, tc.proto, tc.m, tc.n, tc.l, workers, storeDir) })
+				if err != nil {
+					t.Fatalf("%s workers=%d run %d: %v", tc.golden, workers, i, err)
+				}
+				if out != string(want) {
+					t.Errorf("%s workers=%d run %d (store %q): CSV differs from the golden file", tc.golden, workers, i, storeDir)
+				}
+			}
+		}
+	}
+}
+
+// A custom mesh needs both -m and -n, each >= 1; anything else used to
+// fall back to the canonical mesh silently.
+func TestRejectsPartialMesh(t *testing.T) {
+	for _, mn := range [][2]int{{5, 0}, {0, 5}, {-1, 4}, {4, -2}} {
+		out, err := capture(t, func() error { return run("2d4", "paper", mn[0], mn[1], 0, 0, "") })
+		if err == nil || !strings.Contains(err.Error(), "mesh needs -m and -n >= 1") {
+			t.Errorf("-m %d -n %d: err = %v, want the mesh-size error", mn[0], mn[1], err)
+		}
+		if out != "" {
+			t.Errorf("-m %d -n %d: wrote %q before failing", mn[0], mn[1], out)
 		}
 	}
 }

@@ -1,9 +1,10 @@
-// Package analysis runs source-position sweeps of a broadcast protocol
-// and aggregates them into the paper's Section 4 statistics: the best
-// case, the worst case and the maximum delay over all source positions
-// (Tables 3, 4 and 5), plus distribution diagnostics the paper
-// discusses qualitatively (center sources perform better than corner
-// sources; 2D-3 and 2D-8 are insensitive to the source location).
+// Package analysis runs all-sources sweeps of a broadcast protocol on
+// the sweep package's worker pool and aggregates them into the paper's
+// Section 4 statistics: the best case, the worst case and the maximum
+// delay over all source positions (Tables 3, 4 and 5), plus
+// distribution diagnostics the paper discusses qualitatively (center
+// sources perform better than corner sources; 2D-3 and 2D-8 are
+// insensitive to the source location).
 package analysis
 
 import (
@@ -73,48 +74,33 @@ func (s Summary) EnergySpread() float64 {
 	return (s.Worst.EnergyJ - s.Best.EnergyJ) / s.Best.EnergyJ
 }
 
-// Sweep runs the protocol from every source of the topology through
-// the parallel sweep engine and aggregates the results. Every run must
+// Sweep runs the protocol from every source of the topology on a
+// GOMAXPROCS worker pool and aggregates the results. Every run must
 // achieve 100% reachability or Sweep returns an error naming the
 // failing source.
 func Sweep(t grid.Topology, p sim.Protocol, cfg sim.Config) (Summary, error) {
-	return SweepSources(t, p, cfg, nil)
+	return SweepWorkers(t, p, cfg, 0)
 }
 
-// SweepWorkers is Sweep with an explicit worker-pool size (<= 0 means
-// GOMAXPROCS).
+// SweepWorkers is Sweep on a pool of the given size (<= 0 means
+// GOMAXPROCS). Each task broadcasts from one source into its own slot,
+// and the slots aggregate in source order, so the Summary is identical
+// for every pool size.
 func SweepWorkers(t grid.Topology, p sim.Protocol, cfg sim.Config, workers int) (Summary, error) {
-	return SweepSourcesWorkers(t, p, cfg, nil, workers)
-}
-
-// SweepSources is Sweep restricted to the given sources (nil means all
-// nodes).
-func SweepSources(t grid.Topology, p sim.Protocol, cfg sim.Config, sources []grid.Coord) (Summary, error) {
-	return SweepSourcesWorkers(t, p, cfg, sources, 0)
-}
-
-// SweepSourcesWorkers runs the sweep on a pool of the given size
-// (<= 0 means GOMAXPROCS) and aggregates the outcomes in source order,
-// so the Summary is identical for every pool size.
-func SweepSourcesWorkers(t grid.Topology, p sim.Protocol, cfg sim.Config, sources []grid.Coord, workers int) (Summary, error) {
-	if sources == nil {
-		sources = make([]grid.Coord, t.NumNodes())
-		for i := range sources {
-			sources[i] = t.At(i)
+	results := make([]*sim.Result, t.NumNodes())
+	fns := make([]func() error, len(results))
+	for i := range fns {
+		fns[i] = func() (err error) {
+			results[i], err = sim.Run(t, p, t.At(i), cfg)
+			return err
 		}
 	}
-	jobs := make([]sweep.Job, len(sources))
-	for i, src := range sources {
-		jobs[i] = sweep.Job{Topology: t, Protocol: p, Source: src, Config: cfg}
-	}
-	outs, _ := sweep.New(workers).Run(context.Background(), jobs)
-	results := make([]*sim.Result, len(outs))
-	for i, o := range outs {
-		if o.Err != nil {
+	errs, _ := sweep.New(workers).RunFuncs(context.Background(), fns)
+	for i, err := range errs {
+		if err != nil {
 			return Summary{Kind: t.Kind(), Protocol: p.Name()},
-				fmt.Errorf("analysis: source %s: %w", sources[i], o.Err)
+				fmt.Errorf("analysis: source %s: %w", t.At(i), err)
 		}
-		results[i] = o.Result
 	}
 	return Summarize(t, p, results)
 }

@@ -115,16 +115,39 @@ func TestPaperHeadlineOrderings(t *testing.T) {
 	}
 }
 
-// SweepSources with an explicit subset.
+// A summary over an explicit source subset (the corners and center)
+// counts exactly those runs.
 func TestSweepSourcesSubset(t *testing.T) {
 	topo := grid.NewMesh2D4(8, 8)
+	proto := core.NewMesh4Protocol()
 	srcs := CornersAndCenter(topo)
-	s, err := SweepSources(topo, core.NewMesh4Protocol(), sim.Config{}, srcs)
+	results := make([]*sim.Result, len(srcs))
+	for i, src := range srcs {
+		r, err := sim.Run(topo, proto, src, sim.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = r
+	}
+	s, err := Summarize(topo, proto, results)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Runs != len(srcs) {
 		t.Errorf("Runs = %d, want %d", s.Runs, len(srcs))
+	}
+}
+
+// A failed broadcast aborts the sweep with the first failing source in
+// source order, whatever the pool size and completion order.
+func TestSweepNamesFirstFailedSource(t *testing.T) {
+	topo := grid.NewMesh2D4(4, 3)
+	cfg := sim.Config{Down: []grid.Coord{grid.C2(3, 1), grid.C2(2, 1)}}
+	for _, workers := range []int{1, 4} {
+		_, err := SweepWorkers(topo, core.NewMesh4Protocol(), cfg, workers)
+		if err == nil || !strings.Contains(err.Error(), "source (2,1)") {
+			t.Errorf("workers=%d: error = %v, want the first failure, source (2,1)", workers, err)
+		}
 	}
 }
 

@@ -3,10 +3,10 @@
 // the values the paper reports. It is the single source of truth for
 // the wsnbench/wsnviz tools, the benchmark harness and EXPERIMENTS.md.
 //
-// The source-position sweeps behind Tables 3-5 run on the parallel
-// sweep engine (internal/sweep); Config.Workers bounds the pool. The
-// engine gathers results in source order, so the tables are identical
-// for every pool size.
+// The source-position sweeps behind Tables 3-5 run through
+// analysis.SweepWorkers, one worker pool per topology; Config.Workers
+// bounds the pool. Results aggregate in source order, so the tables
+// are identical for every pool size.
 //
 // The deterministic tables and figures are pinned by golden files
 // under testdata/; regenerate them after an intended output change
@@ -16,7 +16,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"wsnbcast/internal/analysis"
@@ -25,7 +24,6 @@ import (
 	"wsnbcast/internal/radio"
 	"wsnbcast/internal/render"
 	"wsnbcast/internal/sim"
-	"wsnbcast/internal/sweep"
 	"wsnbcast/internal/table"
 )
 
@@ -69,9 +67,9 @@ var (
 type Config struct {
 	Model  radio.Model
 	Packet radio.Packet
-	// Workers bounds the parallel sweep engine's pool; <= 0 means
-	// GOMAXPROCS. The tables are identical for every value (the sweep
-	// engine orders results by source, not by completion).
+	// Workers bounds each topology sweep's worker pool; <= 0 means
+	// GOMAXPROCS. The tables are identical for every value (results
+	// aggregate by source, not by completion).
 	Workers int
 }
 
@@ -118,37 +116,12 @@ func Table2(cfg Config) *table.Table {
 }
 
 // sweepAll runs the full source sweep for every topology's paper
-// protocol and returns the summaries keyed by kind. All four sweeps
-// (4 x 512 sources) are flattened into one job list so the worker pool
-// stays saturated across topology boundaries; the per-kind summaries
-// aggregate each topology's slice of the ordered outcomes.
+// protocol, one analysis.SweepWorkers pool per topology, and returns
+// the summaries keyed by kind.
 func sweepAll(cfg Config) (map[grid.Kind]analysis.Summary, error) {
-	type span struct {
-		topo   grid.Topology
-		proto  sim.Protocol
-		lo, hi int
-	}
-	var jobs []sweep.Job
-	spans := make(map[grid.Kind]span, 4)
-	for _, k := range grid.Kinds() {
-		topo := grid.Canonical(k)
-		p := core.ForTopology(k)
-		lo := len(jobs)
-		jobs = append(jobs, sweep.SourceJobs(topo, p, cfg.simConfig())...)
-		spans[k] = span{topo: topo, proto: p, lo: lo, hi: len(jobs)}
-	}
-	outs, _ := sweep.New(cfg.Workers).Run(context.Background(), jobs)
 	out := make(map[grid.Kind]analysis.Summary, 4)
 	for _, k := range grid.Kinds() {
-		sp := spans[k]
-		results := make([]*sim.Result, 0, sp.hi-sp.lo)
-		for _, o := range outs[sp.lo:sp.hi] {
-			if o.Err != nil {
-				return nil, fmt.Errorf("experiments: %v sweep: %w", k, o.Err)
-			}
-			results = append(results, o.Result)
-		}
-		s, err := analysis.Summarize(sp.topo, sp.proto, results)
+		s, err := analysis.SweepWorkers(grid.Canonical(k), core.ForTopology(k), cfg.simConfig(), cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %v sweep: %w", k, err)
 		}

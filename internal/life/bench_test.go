@@ -27,7 +27,7 @@ func benchSpec(m, n int, budgetJ, pfail float64, strat Strategy) Spec {
 	}
 }
 
-// benchRounds runs the study b.N times through run — Run, or
+// benchRounds runs the study b.N times through run — runStudy, or
 // referenceRun for the frozen per-round path.
 func benchRounds(b *testing.B, spec Spec, run func(context.Context, Spec) ([]CellReport, error)) {
 	b.ReportAllocs()
@@ -50,7 +50,7 @@ func benchRounds(b *testing.B, spec Spec, run func(context.Context, Spec) ([]Cel
 // runs this and benchjson records it. The name and configuration are
 // pinned so benchjson pairs it with the pre-session baseline rows.
 func BenchmarkLifetime(b *testing.B) {
-	benchRounds(b, benchSpec(64, 64, 1, 0.001, Static), Run)
+	benchRounds(b, benchSpec(64, 64, 1, 0.001, Static), runStudy)
 }
 
 // BenchmarkLifetimeReference is the identical study on the frozen
@@ -72,16 +72,16 @@ func BenchmarkLifetimeReference(b *testing.B) {
 // most rounds mutate nothing and reuse the previous Result outright.
 func BenchmarkLifetimeLadder(b *testing.B) {
 	b.Run("death-only-static-64", func(b *testing.B) {
-		benchRounds(b, benchSpec(64, 64, 0.003, 0, Static), Run)
+		benchRounds(b, benchSpec(64, 64, 0.003, 0, Static), runStudy)
 	})
 	b.Run("death-only-64", func(b *testing.B) {
-		benchRounds(b, benchSpec(64, 64, 0.003, 0, RoundRobin), Run)
+		benchRounds(b, benchSpec(64, 64, 0.003, 0, RoundRobin), runStudy)
 	})
 	b.Run("churn-heavy-64", func(b *testing.B) {
-		benchRounds(b, benchSpec(64, 64, 1, 0.05, Static), Run)
+		benchRounds(b, benchSpec(64, 64, 1, 0.05, Static), runStudy)
 	})
 	b.Run("churn-heavy-128", func(b *testing.B) {
-		benchRounds(b, benchSpec(128, 128, 1, 0.05, Static), Run)
+		benchRounds(b, benchSpec(128, 128, 1, 0.05, Static), runStudy)
 	})
 }
 

@@ -9,9 +9,10 @@
 // counter-based Markov churn chain, and rotating the source between
 // rounds under a pluggable strategy. It reports network-lifetime
 // metrics — rounds to first death, to X% dead, to source-partition —
-// as curves, one cell per (strategy, churn rate, replication), sharded
-// across internal/sweep with byte-identical merging at any worker
-// count.
+// as curves, one cell per (strategy, churn rate, replication). RunCell
+// runs one cell; callers shard a study's cells across their own worker
+// pools and merge them in cell-index order, so the study is
+// byte-identical at any worker count.
 package life
 
 import (
@@ -22,7 +23,6 @@ import (
 
 	"wsnbcast/internal/grid"
 	"wsnbcast/internal/sim"
-	"wsnbcast/internal/sweep"
 )
 
 // Strategy names a between-round source rotation policy.
@@ -99,11 +99,10 @@ type Spec struct {
 	// BurnInRounds=0 reproduces the un-burned byte stream exactly.
 	// Burn-in is free of simulation work — only the chain advances.
 	BurnInRounds int
-	// Workers sizes the cell-sharding pool (<= 0: GOMAXPROCS). Cells
-	// are sequential inside; the report is byte-identical at any count.
+	// Workers is not read by this package: RunCell runs one cell, and
+	// callers shard cells on their own pools (scenario.Plan.Run, the
+	// job manager). It stays because existing callers set it.
 	Workers int
-	// Gauge, when non-nil, receives pending-cell deltas.
-	Gauge sweep.Gauge
 	// CheckpointEvery is the round cadence of Checkpointer saves in
 	// RunCell; 0 means DefaultCheckpointEvery.
 	CheckpointEvery int
@@ -268,51 +267,6 @@ type ckptState struct {
 	PrevSource int32      `json:"prev_source"`
 	Report     CellReport `json:"report"`
 	EnergyJ    float64    `json:"energy_j"`
-}
-
-// Run executes every cell of the study, sharding cells across the
-// worker pool and merging in cell-index order, so the slice is
-// byte-identical at any worker count.
-func Run(ctx context.Context, spec Spec) ([]CellReport, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	total := spec.NumCells()
-	cells := make([]CellReport, total)
-	fns := make([]func() error, total)
-	for i := range fns {
-		i := i
-		fns[i] = func() error {
-			rep, err := RunCell(ctx, spec, i, nil)
-			if err != nil {
-				return err
-			}
-			cells[i] = rep
-			return nil
-		}
-	}
-	eng := sweep.New(spec.Workers)
-	if spec.Gauge != nil {
-		eng = eng.WithGauge(spec.Gauge)
-	}
-	errs, err := eng.RunFuncs(ctx, fns)
-	if err != nil {
-		done := 0
-		for i := range cells {
-			if cells[i].Rounds > 0 {
-				done++
-			}
-		}
-		return nil, fmt.Errorf("life: cancelled after %d/%d cells: %w", done, total, err)
-	}
-	for i, e := range errs {
-		if e != nil {
-			c := spec.CellAt(i)
-			return nil, fmt.Errorf("life: cell %d (%s, p_fail %g, rep %d): %w",
-				i, c.Strategy, c.PFail, c.Rep, e)
-		}
-	}
-	return cells, nil
 }
 
 // RunCell executes one cell's round loop. ck, when non-nil, is

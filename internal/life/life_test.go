@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 
 	"wsnbcast/internal/core"
 	"wsnbcast/internal/grid"
 	"wsnbcast/internal/sim"
+	"wsnbcast/internal/sweep"
 )
 
 // testSpec is a small study that dies well within its round budget:
@@ -32,6 +34,33 @@ func testSpec() Spec {
 	}
 }
 
+// runStudy runs every cell of a study, sharding cells across a pool of
+// spec.Workers and merging them in cell-index order, the way
+// scenario.Plan.Run drives a lifetime study.
+func runStudy(ctx context.Context, spec Spec) ([]CellReport, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	cells := make([]CellReport, spec.NumCells())
+	fns := make([]func() error, len(cells))
+	for i := range fns {
+		fns[i] = func() (err error) {
+			cells[i], err = RunCell(ctx, spec, i, nil)
+			return err
+		}
+	}
+	errs, err := sweep.New(spec.Workers).RunFuncs(ctx, fns)
+	if err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("cell %d: %w", i, err)
+		}
+	}
+	return cells, nil
+}
+
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -49,7 +78,7 @@ func TestLifetimeWorkersIdentical(t *testing.T) {
 	var want []byte
 	for _, workers := range []int{1, 2, 8} {
 		spec.Workers = workers
-		cells, err := Run(context.Background(), spec)
+		cells, err := runStudy(context.Background(), spec)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -102,7 +131,7 @@ func TestResidualExtendsFirstDeath(t *testing.T) {
 	spec.Strategies = []Strategy{Static, Residual}
 	spec.PFail = []float64{0}
 	spec.Replications = 1
-	cells, err := Run(context.Background(), spec)
+	cells, err := runStudy(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +154,7 @@ func TestStaticStopsAtSourceDeath(t *testing.T) {
 	spec.PFail = []float64{0}
 	spec.Replications = 1
 	spec.MaxRounds = 4096
-	cells, err := Run(context.Background(), spec)
+	cells, err := runStudy(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +172,7 @@ func TestRoundRobinOutlivesDeaths(t *testing.T) {
 	spec.Strategies = []Strategy{RoundRobin}
 	spec.PFail = []float64{0}
 	spec.Replications = 1
-	cells, err := Run(context.Background(), spec)
+	cells, err := runStudy(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +202,7 @@ func TestChurnPartitionsLine(t *testing.T) {
 		PFail:        []float64{0.3},
 		PNew:         0,
 	}
-	cells, err := Run(context.Background(), spec)
+	cells, err := runStudy(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +235,7 @@ func TestChurnRecovery(t *testing.T) {
 		PFail:        []float64{0.3},
 		PNew:         1, // every down link recovers next round
 	}
-	cells, err := Run(context.Background(), spec)
+	cells, err := runStudy(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +347,7 @@ func TestChurnZeroSweepSkipByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(context.Background(), spec)
+	got, err := runStudy(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +357,7 @@ func TestChurnZeroSweepSkipByteIdentity(t *testing.T) {
 
 	burned := spec
 	burned.BurnInRounds = 32
-	burnedRep, err := Run(context.Background(), burned)
+	burnedRep, err := runStudy(context.Background(), burned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +377,7 @@ func TestPermanentFailureChurnByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(context.Background(), spec)
+	got, err := runStudy(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +449,7 @@ func TestSpecValidation(t *testing.T) {
 	} {
 		s := base
 		mut(&s)
-		if _, err := Run(context.Background(), s); err == nil {
+		if _, err := runStudy(context.Background(), s); err == nil {
 			t.Errorf("%s: invalid spec accepted", name)
 		}
 	}

@@ -99,9 +99,9 @@ func referenceCell(spec Spec, index int) (CellReport, error) {
 	return rc.finish(), nil
 }
 
-// referenceRun is Run on the reference path: every cell, serially, in
-// cell-index order. Its signature matches Run's so benchmarks can take
-// either.
+// referenceRun is runStudy on the reference path: every cell,
+// serially, in cell-index order. Its signature matches runStudy's so
+// benchmarks can take either.
 func referenceRun(ctx context.Context, spec Spec) ([]CellReport, error) {
 	cells := make([]CellReport, spec.NumCells())
 	for i := range cells {

@@ -51,7 +51,7 @@ func TestSessionDifferentialMatrix(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				spec := matrixSpec(k)
 				spec.Workers = workers
-				got, err := Run(context.Background(), spec)
+				got, err := runStudy(context.Background(), spec)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -153,13 +153,13 @@ func TestRestoreDropsRoundMemo(t *testing.T) {
 // untouched, and the session and reference paths agree under both.
 func TestBurnInSemantics(t *testing.T) {
 	base := matrixSpec(grid.Mesh2D4)
-	baseRep, err := Run(context.Background(), base)
+	baseRep, err := runStudy(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	zero := base
 	zero.BurnInRounds = 0
-	zeroRep, err := Run(context.Background(), zero)
+	zeroRep, err := runStudy(context.Background(), zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestBurnInSemantics(t *testing.T) {
 	}
 	burned := base
 	burned.BurnInRounds = 32
-	burnedRep, err := Run(context.Background(), burned)
+	burnedRep, err := runStudy(context.Background(), burned)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestBurnInStartsAtChainState(t *testing.T) {
 		PNew:         0,
 		BurnInRounds: 64,
 	}
-	cells, err := Run(context.Background(), spec)
+	cells, err := runStudy(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestBurnInStartsAtChainState(t *testing.T) {
 func TestBurnInValidation(t *testing.T) {
 	spec := matrixSpec(grid.Mesh2D4)
 	spec.BurnInRounds = -1
-	if _, err := Run(context.Background(), spec); err == nil {
+	if _, err := runStudy(context.Background(), spec); err == nil {
 		t.Error("negative burn-in accepted")
 	}
 }

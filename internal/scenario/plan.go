@@ -165,9 +165,10 @@ func (p *Plan) Exec(ctx context.Context, i int, ck life.Checkpointer, every int)
 	return p.exec(ctx, i, ck, every, 0)
 }
 
-// exec is Exec with the size of a reliability point's replication pool
-// (<= 0: GOMAXPROCS); the size never changes the value.
-func (p *Plan) exec(ctx context.Context, i int, ck life.Checkpointer, every, mcWorkers int) (any, error) {
+// exec is Exec with the size of the pool inside one point (<= 0:
+// GOMAXPROCS): a reliability point's replications, or the whole shape's
+// all-sources sweep. The size never changes the value.
+func (p *Plan) exec(ctx context.Context, i int, ck life.Checkpointer, every, inner int) (any, error) {
 	if i < 0 || i >= p.n {
 		return nil, fmt.Errorf("scenario: point %d outside [0, %d)", i, p.n)
 	}
@@ -181,14 +182,14 @@ func (p *Plan) exec(ctx context.Context, i int, ck life.Checkpointer, every, mcW
 		rel, g := p.sc.Reliability, i-1
 		return mc.RunPoint(ctx, mc.Spec{
 			Topology: p.topo, Protocol: p.proto, Source: p.sc.Sources[0].Coord(), Config: p.cfg,
-			Seed: rel.Seed, Replications: rel.Replications, Workers: mcWorkers,
+			Seed: rel.Seed, Replications: rel.Replications, Workers: inner,
 		}, rel.LossRates[g%len(rel.LossRates)], rel.FailureRates[g/len(rel.LossRates)])
 	case shapeLifetime:
 		spec := p.life
 		spec.CheckpointEvery = every
 		return life.RunCell(ctx, spec, i, ck)
 	}
-	return p.whole(ctx)
+	return p.whole(ctx, inner)
 }
 
 // broadcast runs one deterministic broadcast from src.
@@ -201,16 +202,12 @@ func (p *Plan) broadcast(src grid.Coord) (RunReport, error) {
 }
 
 // whole runs a whole-shape document, checking ctx between broadcasts
-// and between phases.
-func (p *Plan) whole(ctx context.Context) (Report, error) {
+// and between phases; a document without sources runs its summary
+// sweep on a pool of workers.
+func (p *Plan) whole(ctx context.Context, workers int) (Report, error) {
 	rep, s := p.header(), p.sc
 	if len(s.Sources) == 0 {
-		sum, err := analysis.Sweep(p.topo, p.proto, p.cfg)
-		if err != nil {
-			return Report{}, err
-		}
-		rep.BestEnergyJ, rep.WorstEnergyJ, rep.MaxDelay = sum.Best.EnergyJ, sum.Worst.EnergyJ, sum.MaxDelay
-		return rep, nil
+		return p.summarySweep(ctx, rep, workers)
 	}
 	for _, src := range s.Sources {
 		if err := ctx.Err(); err != nil {
@@ -264,6 +261,41 @@ func (p *Plan) whole(ctx context.Context) (Report, error) {
 		}
 		rep.ConvergeEnergyJ, rep.ConvergeSlots = cc.EnergyJ, cc.Slots
 	}
+	return rep, nil
+}
+
+// summarySweep broadcasts from every node on a pool of workers,
+// keeping one RunReport per source, and folds them into rep's best and
+// worst energy and max delay. A cancelled ctx stops the pool with at
+// most one broadcast per worker in flight. Every broadcast must reach
+// the whole mesh; failures are named in source order, in the words of
+// the analysis package's sweeps.
+func (p *Plan) summarySweep(ctx context.Context, rep Report, workers int) (Report, error) {
+	runs := make([]RunReport, p.topo.NumNodes())
+	fns := make([]func() error, len(runs))
+	for i := range fns {
+		fns[i] = func() (err error) {
+			runs[i], err = p.broadcast(p.topo.At(i))
+			return err
+		}
+	}
+	errs, err := sweep.New(workers).RunFuncs(ctx, fns)
+	if err != nil {
+		return Report{}, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return Report{}, fmt.Errorf("analysis: source %s: %w", p.topo.At(i), err)
+		}
+	}
+	for i, r := range runs {
+		if r.Reached != r.Total {
+			return Report{}, fmt.Errorf("analysis: source %s reached only %d/%d nodes", p.topo.At(i), r.Reached, r.Total)
+		}
+	}
+	rep.Runs = runs
+	SweepSummary(&rep)
+	rep.Runs = nil
 	return rep, nil
 }
 
@@ -356,20 +388,21 @@ func decode[T any](raw []byte) (any, error) {
 // merges the values in memory; g, when non-nil, receives pending-point
 // deltas. A cancelled ctx stops the pool between points.
 //
-// The pool is the request's whole concurrency budget: the reliability
-// points in flight share it, each running its replications on
-// workers / min(points, workers) sessions, so one request never holds
-// more than about `workers` simulation sessions at once.
+// The pool is the request's whole concurrency budget: the points in
+// flight share it, each running its inner pool (a reliability point's
+// replications, the whole shape's summary sweep) on
+// workers / min(points, workers) workers, so one request never holds
+// more than about `workers` simulations at once.
 func (p *Plan) Run(ctx context.Context, workers int, g sweep.Gauge) (Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	mcWorkers := max(1, workers/min(p.n, workers))
+	inner := max(1, workers/min(p.n, workers))
 	parts := make([]any, p.n)
 	fns := make([]func() error, p.n)
 	for i := range fns {
 		fns[i] = func() (err error) {
-			parts[i], err = p.exec(ctx, i, nil, 0, mcWorkers)
+			parts[i], err = p.exec(ctx, i, nil, 0, inner)
 			return err
 		}
 	}

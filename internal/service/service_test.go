@@ -219,6 +219,23 @@ func TestDeadlineExceeded504(t *testing.T) {
 	}
 }
 
+// TestSummarySweepDeadlineFreesWorker: a /v1/scenario document without
+// sources sweeps every node on the request's worker; when its deadline
+// passes, the request answers 504 and the sweep stops, so the only
+// worker is free for the next request instead of finishing the sweep.
+func TestSummarySweepDeadlineFreesWorker(t *testing.T) {
+	srv := New(Config{Workers: 1, SweepWorkers: 1})
+	w := post(srv, "/v1/scenario?timeout_ms=20", `{"topology": {"kind": "2d4", "m": 48, "n": 48}}`)
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504; body %s", w.Code, w.Body)
+	}
+	waitFor(t, "the summary sweep to stop", func() bool { return srv.metrics.sweepPending.Load() == 0 })
+	doc := `{"topology": {"kind": "2d4", "m": 8, "n": 8}, "sources": [{"x": 5, "y": 5}]}`
+	if w := post(srv, "/v1/run?timeout_ms=5000", doc); w.Code != http.StatusOK {
+		t.Errorf("next request on the freed worker: status = %d, want 200; body %s", w.Code, w.Body)
+	}
+}
+
 func TestInvalidTimeoutParam(t *testing.T) {
 	srv := New(Config{})
 	for _, v := range []string{"abc", "-5", "0"} {

@@ -20,22 +20,26 @@ import (
 
 	"wsnbcast/internal/core"
 	"wsnbcast/internal/grid"
-	"wsnbcast/internal/sim"
 	"wsnbcast/internal/sweep"
 )
 
-func canonicalJobs() []sweep.Job {
-	var jobs []sweep.Job
+// canonicalTasks flattens the four canonical paper-protocol sweeps
+// into one task list, so the pool stays saturated across topology
+// boundaries.
+func canonicalTasks() []func() error {
+	var fns []func() error
 	for _, k := range grid.Kinds() {
-		jobs = append(jobs, sweep.SourceJobs(grid.Canonical(k), core.ForTopology(k), sim.Config{})...)
+		topo := grid.Canonical(k)
+		_, kfns := sourceTasks(topo, core.ForTopology(k), allSources(topo))
+		fns = append(fns, kfns...)
 	}
-	return jobs
+	return fns
 }
 
 // BenchmarkCanonicalSweep measures the full 4-topology source sweep at
 // 1, 2, 4 and GOMAXPROCS workers.
 func BenchmarkCanonicalSweep(b *testing.B) {
-	jobs := canonicalJobs()
+	fns := canonicalTasks()
 	counts := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n != 1 && n != 2 && n != 4 {
 		counts = append(counts, n)
@@ -46,12 +50,14 @@ func BenchmarkCanonicalSweep(b *testing.B) {
 			eng := sweep.New(workers)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				outs, err := eng.Run(context.Background(), jobs)
+				errs, err := eng.RunFuncs(context.Background(), fns)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sweep.Results(outs); err != nil {
-					b.Fatal(err)
+				for _, err := range errs {
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
@@ -70,9 +76,8 @@ func BenchmarkSingleTopologySweep(b *testing.B) {
 	for _, workers := range counts {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng := sweep.New(workers)
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.SweepSources(context.Background(), topo, proto, sim.Config{}, nil); err != nil {
+				if _, err := sweepSources(workers, topo, proto); err != nil {
 					b.Fatal(err)
 				}
 			}

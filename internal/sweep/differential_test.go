@@ -10,7 +10,6 @@ package sweep_test
 // byte-identical when rendered the way wsnsweep renders CSV rows.
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -19,7 +18,6 @@ import (
 	"wsnbcast/internal/core"
 	"wsnbcast/internal/grid"
 	"wsnbcast/internal/sim"
-	"wsnbcast/internal/sweep"
 )
 
 // protocols returns the issue's protocol matrix for a topology kind.
@@ -63,7 +61,7 @@ func renderRow(r *sim.Result) string {
 func diffSweep(t *testing.T, topo grid.Topology, p sim.Protocol, workers int) {
 	t.Helper()
 	serial := serialSweep(t, topo, p)
-	parallel, err := sweep.New(workers).SweepSources(context.Background(), topo, p, sim.Config{}, nil)
+	parallel, err := sweepSources(workers, topo, p)
 	if err != nil {
 		t.Fatalf("parallel %s/%s: %v", topo.Kind(), p.Name(), err)
 	}

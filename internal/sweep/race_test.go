@@ -17,7 +17,6 @@ package sweep_test
 // actually exercised, not skipped via a warm cache.
 
 import (
-	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -25,7 +24,6 @@ import (
 	"wsnbcast/internal/core"
 	"wsnbcast/internal/grid"
 	"wsnbcast/internal/sim"
-	"wsnbcast/internal/sweep"
 )
 
 // TestConcurrentRunsShareTopologyAndProtocol hammers one shared
@@ -78,7 +76,7 @@ func TestConcurrentSweepsShareTopology(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := sweep.New(4).SweepSources(context.Background(), topo, proto, sim.Config{}, nil); err != nil {
+			if _, err := sweepSources(4, topo, proto); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -126,7 +124,7 @@ func TestColdRelayPlanCacheRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, err := sweep.New(4).SweepSources(context.Background(), topo, proto, sim.Config{}, nil)
+			s, err := sweepSources(4, topo, proto)
 			if err != nil {
 				t.Error(err)
 				return

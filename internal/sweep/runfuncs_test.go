@@ -1,8 +1,8 @@
 package sweep_test
 
-// RunFuncs is the transport under Run and the Monte Carlo engine's
-// replications: tasks write into caller-owned slots, so these tests pin
-// the slot discipline — per-task error isolation, exhaustion before
+// RunFuncs is the transport under every source sweep, plan point and
+// Monte Carlo replication: tasks write into caller-owned slots, so
+// these tests pin the slot discipline — per-task error isolation, exhaustion before
 // return, and context errors landing only in the slots of tasks that
 // never ran.
 

@@ -3,9 +3,9 @@ package sweep_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -31,66 +31,90 @@ func TestWorkersDefaults(t *testing.T) {
 	}
 }
 
-func TestSourceJobsOrder(t *testing.T) {
-	topo := grid.NewMesh2D4(4, 3)
-	jobs := sweep.SourceJobs(topo, core.NewMesh4Protocol(), sim.Config{})
-	if len(jobs) != topo.NumNodes() {
-		t.Fatalf("len(jobs) = %d, want %d", len(jobs), topo.NumNodes())
-	}
-	for i, j := range jobs {
-		if j.Source != topo.At(i) {
-			t.Errorf("job %d source = %s, want %s", i, j.Source, topo.At(i))
+// sourceTasks builds one RunFuncs task per source: task i broadcasts p
+// from srcs[i] on topo into results[i].
+func sourceTasks(topo grid.Topology, p sim.Protocol, srcs []grid.Coord) ([]*sim.Result, []func() error) {
+	results := make([]*sim.Result, len(srcs))
+	fns := make([]func() error, len(srcs))
+	for i := range fns {
+		fns[i] = func() (err error) {
+			results[i], err = sim.Run(topo, p, srcs[i], sim.Config{})
+			return err
 		}
 	}
+	return results, fns
 }
 
+// allSources lists every node of topo in dense index order.
+func allSources(topo grid.Topology) []grid.Coord {
+	srcs := make([]grid.Coord, topo.NumNodes())
+	for i := range srcs {
+		srcs[i] = topo.At(i)
+	}
+	return srcs
+}
+
+// sweepSources broadcasts p from every node of topo on a pool of
+// workers and returns the results in source order, or the first
+// failure in that order.
+func sweepSources(workers int, topo grid.Topology, p sim.Protocol) ([]*sim.Result, error) {
+	results, fns := sourceTasks(topo, p, allSources(topo))
+	errs, err := sweep.New(workers).RunFuncs(context.Background(), fns)
+	if err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("source %s: %w", topo.At(i), err)
+		}
+	}
+	return results, nil
+}
+
+// TestRunEmpty runs a sweep over no sources: an empty, non-nil batch
+// yields no task errors, no results and no sweep error.
 func TestRunEmpty(t *testing.T) {
-	outs, err := sweep.New(4).Run(context.Background(), nil)
-	if err != nil || len(outs) != 0 {
-		t.Errorf("Run(nil) = %v, %v", outs, err)
+	results, fns := sourceTasks(grid.NewMesh2D4(4, 3), core.NewMesh4Protocol(), []grid.Coord{})
+	errs, err := sweep.New(4).RunFuncs(context.Background(), fns)
+	if err != nil || len(errs) != 0 || len(results) != 0 {
+		t.Errorf("RunFuncs(no sources) = %v, %v (results %v)", errs, err, results)
 	}
 }
 
-// TestErrorIsolation is the table-driven error layer: a failing job
-// captures its own error and never poisons the other shards.
+// TestErrorIsolation is the table-driven error layer: a failing
+// broadcast captures its own error and never poisons the other tasks.
 func TestErrorIsolation(t *testing.T) {
 	topo := grid.NewMesh2D4(4, 3)
 	proto := core.NewMesh4Protocol()
-	good := func(i int) sweep.Job {
-		return sweep.Job{Topology: topo, Protocol: proto, Source: topo.At(i), Config: sim.Config{}}
-	}
-	bad := sweep.Job{Topology: topo, Protocol: proto, Source: grid.C2(99, 99), Config: sim.Config{}}
+	bad := grid.C2(99, 99)
 
 	for _, tc := range []struct {
 		name    string
-		jobs    []sweep.Job
-		wantErr []bool // per job: expect a captured error
+		srcs    []grid.Coord
+		wantErr []bool // per task: expect a captured error
 	}{
-		{"first job fails", []sweep.Job{bad, good(0), good(1), good(2)}, []bool{true, false, false, false}},
-		{"middle job fails", []sweep.Job{good(0), bad, good(1)}, []bool{false, true, false}},
-		{"last job fails", []sweep.Job{good(0), good(1), bad}, []bool{false, false, true}},
-		{"all jobs fail", []sweep.Job{bad, bad, bad}, []bool{true, true, true}},
-		{"no failures", []sweep.Job{good(0), good(1)}, []bool{false, false}},
+		{"first job fails", []grid.Coord{bad, topo.At(0), topo.At(1), topo.At(2)}, []bool{true, false, false, false}},
+		{"middle job fails", []grid.Coord{topo.At(0), bad, topo.At(1)}, []bool{false, true, false}},
+		{"last job fails", []grid.Coord{topo.At(0), topo.At(1), bad}, []bool{false, false, true}},
+		{"all jobs fail", []grid.Coord{bad, bad, bad}, []bool{true, true, true}},
+		{"no failures", []grid.Coord{topo.At(0), topo.At(1)}, []bool{false, false}},
 	} {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
-				outs, err := sweep.New(workers).Run(context.Background(), tc.jobs)
+				results, fns := sourceTasks(topo, proto, tc.srcs)
+				errs, err := sweep.New(workers).RunFuncs(context.Background(), fns)
 				if err != nil {
-					t.Fatalf("workers=%d: Run error %v (job errors must not abort the sweep)", workers, err)
+					t.Fatalf("workers=%d: RunFuncs error %v (task errors must not abort the sweep)", workers, err)
 				}
-				if len(outs) != len(tc.jobs) {
-					t.Fatalf("workers=%d: %d outcomes for %d jobs", workers, len(outs), len(tc.jobs))
-				}
-				for i, o := range outs {
+				for i := range tc.srcs {
 					if tc.wantErr[i] {
-						if o.Err == nil || o.Result != nil {
-							t.Errorf("workers=%d job %d: want captured error, got (%v, %v)",
-								workers, i, o.Result, o.Err)
+						if errs[i] == nil || results[i] != nil {
+							t.Errorf("workers=%d task %d: want captured error, got (%v, %v)",
+								workers, i, results[i], errs[i])
 						}
-					} else if o.Err != nil || o.Result == nil {
-						t.Errorf("workers=%d job %d: poisoned by sibling failure: (%v, %v)",
-							workers, i, o.Result, o.Err)
+					} else if errs[i] != nil || results[i] == nil {
+						t.Errorf("workers=%d task %d: poisoned by sibling failure: (%v, %v)",
+							workers, i, results[i], errs[i])
 					}
 				}
 			}
@@ -98,43 +122,25 @@ func TestErrorIsolation(t *testing.T) {
 	}
 }
 
-func TestResultsNamesFirstFailedJob(t *testing.T) {
-	topo := grid.NewMesh2D4(4, 3)
-	proto := core.NewMesh4Protocol()
-	jobs := []sweep.Job{
-		{Topology: topo, Protocol: proto, Source: topo.At(0), Config: sim.Config{}},
-		{Topology: topo, Protocol: proto, Source: grid.C2(50, 50), Config: sim.Config{}},
-		{Topology: topo, Protocol: proto, Source: grid.C2(60, 60), Config: sim.Config{}},
-	}
-	outs, err := sweep.New(2).Run(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sweep.Results(outs); err == nil ||
-		!strings.Contains(err.Error(), "job 1") || !strings.Contains(err.Error(), "(50,50)") {
-		t.Errorf("Results error = %v, want first failure (job 1, source (50,50))", err)
-	}
-}
-
 func TestPreCancelledContext(t *testing.T) {
 	topo := grid.NewMesh2D4(4, 3)
-	jobs := sweep.SourceJobs(topo, core.NewMesh4Protocol(), sim.Config{})
+	results, fns := sourceTasks(topo, core.NewMesh4Protocol(), allSources(topo))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	outs, err := sweep.New(4).Run(ctx, jobs)
+	errs, err := sweep.New(4).RunFuncs(ctx, fns)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run on cancelled ctx = %v, want context.Canceled", err)
+		t.Fatalf("RunFuncs on cancelled ctx = %v, want context.Canceled", err)
 	}
-	for i, o := range outs {
-		if !errors.Is(o.Err, context.Canceled) || o.Result != nil {
-			t.Errorf("job %d outcome = (%v, %v), want context.Canceled and no result", i, o.Result, o.Err)
+	for i := range fns {
+		if !errors.Is(errs[i], context.Canceled) || results[i] != nil {
+			t.Errorf("task %d = (%v, %v), want context.Canceled and no result", i, results[i], errs[i])
 		}
 	}
 }
 
 // gateProtocol blocks the first simulation that reaches it until the
 // test releases the gate, so the test can cancel the context while a
-// job is provably mid-flight.
+// broadcast is provably mid-flight.
 type gateProtocol struct {
 	entered chan<- struct{}
 	gate    <-chan struct{}
@@ -155,58 +161,53 @@ func (gateProtocol) TxDelay(grid.Topology, grid.Coord, grid.Coord) int { return 
 
 func (gateProtocol) Retransmits(grid.Topology, grid.Coord, grid.Coord) []int { return nil }
 
-// TestCancelMidSweep cancels the context while job 0 is running on a
-// single worker: the running job completes and keeps its result, the
-// jobs never started report the context error, and Run surfaces the
-// cancellation — a coherent partial sweep.
+// TestCancelMidSweep cancels the context while broadcast 0 is running
+// on a single worker: the running broadcast completes and keeps its
+// result, the ones never started report the context error, and
+// RunFuncs surfaces the cancellation — a coherent partial sweep.
 func TestCancelMidSweep(t *testing.T) {
 	topo := grid.NewMesh2D4(4, 3)
 	entered := make(chan struct{})
 	gate := make(chan struct{})
 	proto := gateProtocol{entered: entered, gate: gate, once: &sync.Once{}}
-
-	jobs := make([]sweep.Job, 5)
-	for i := range jobs {
-		jobs[i] = sweep.Job{Topology: topo, Protocol: proto, Source: topo.At(i), Config: sim.Config{}}
-	}
+	results, fns := sourceTasks(topo, proto, allSources(topo)[:5])
 
 	ctx, cancel := context.WithCancel(context.Background())
 	type ret struct {
-		outs []sweep.Outcome
+		errs []error
 		err  error
 	}
 	got := make(chan ret, 1)
 	go func() {
-		outs, err := sweep.New(1).Run(ctx, jobs)
-		got <- ret{outs, err}
+		errs, err := sweep.New(1).RunFuncs(ctx, fns)
+		got <- ret{errs, err}
 	}()
 
-	<-entered // job 0 is mid-flight on the only worker
+	<-entered // broadcast 0 is mid-flight on the only worker
 	cancel()
-	close(gate) // let job 0 finish
+	close(gate) // let broadcast 0 finish
 	r := <-got
 
 	if !errors.Is(r.err, context.Canceled) {
-		t.Fatalf("Run = %v, want context.Canceled", r.err)
+		t.Fatalf("RunFuncs = %v, want context.Canceled", r.err)
 	}
-	if r.outs[0].Err != nil || r.outs[0].Result == nil {
-		t.Errorf("job 0 (running at cancel) = (%v, %v), want completed result",
-			r.outs[0].Result, r.outs[0].Err)
+	if r.errs[0] != nil || results[0] == nil {
+		t.Errorf("task 0 (running at cancel) = (%v, %v), want completed result", results[0], r.errs[0])
 	}
-	for i, o := range r.outs[1:] {
-		if !errors.Is(o.Err, context.Canceled) || o.Result != nil {
-			t.Errorf("job %d (never started) = (%v, %v), want context.Canceled", i+1, o.Result, o.Err)
+	for i := 1; i < len(fns); i++ {
+		if !errors.Is(r.errs[i], context.Canceled) || results[i] != nil {
+			t.Errorf("task %d (never started) = (%v, %v), want context.Canceled", i, results[i], r.errs[i])
 		}
 	}
 }
 
-// TestSweepSourcesMatchesAt verifies SweepSources returns results in
+// TestSweepSourcesOrder verifies an all-sources sweep's results land in
 // source order regardless of the pool size.
 func TestSweepSourcesOrder(t *testing.T) {
 	topo := grid.NewMesh2D8(6, 4)
 	proto := core.NewMesh8Protocol()
 	for _, workers := range []int{1, 3, 16} {
-		results, err := sweep.New(workers).SweepSources(context.Background(), topo, proto, sim.Config{}, nil)
+		results, err := sweepSources(workers, topo, proto)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -222,23 +223,23 @@ func TestSweepSourcesOrder(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossWorkerCounts runs the same job list at several
-// pool sizes and requires deeply equal outcomes.
+// TestDeterministicAcrossWorkerCounts runs the same sweep at several
+// pool sizes and requires deeply equal results.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	topo := grid.NewMesh2D3(8, 6)
-	jobs := sweep.SourceJobs(topo, core.NewMesh3Protocol(), sim.Config{})
-	base, err := sweep.New(1).Run(context.Background(), jobs)
+	proto := core.NewMesh3Protocol()
+	base, err := sweepSources(1, topo, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5, 32} {
-		outs, err := sweep.New(workers).Run(context.Background(), jobs)
+		results, err := sweepSources(workers, topo, proto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range outs {
-			if !reflect.DeepEqual(outs[i].Result, base[i].Result) {
-				t.Errorf("workers=%d: job %d result differs from workers=1", workers, i)
+		for i := range results {
+			if !reflect.DeepEqual(results[i], base[i]) {
+				t.Errorf("workers=%d: source %d result differs from workers=1", workers, i)
 			}
 		}
 	}
@@ -255,14 +256,13 @@ func TestNewNegativeWorkers(t *testing.T) {
 		t.Errorf("New(-1).Workers() = %d, want GOMAXPROCS (%d)", w, want)
 	}
 	topo := grid.NewMesh2D4(4, 4)
-	outs, err := sweep.New(-1).Run(context.Background(),
-		sweep.SourceJobs(topo, core.NewFlooding(), sim.Config{}))
+	results, err := sweepSources(-1, topo, core.NewFlooding())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, o := range outs {
-		if o.Err != nil || o.Result == nil {
-			t.Fatalf("job %d: result=%v err=%v", i, o.Result, o.Err)
+	for i, r := range results {
+		if r == nil {
+			t.Fatalf("source %d: no result", i)
 		}
 	}
 }
@@ -287,12 +287,12 @@ func TestGaugeNetsToZero(t *testing.T) {
 	topo := grid.NewMesh2D4(6, 4)
 	var g trackingGauge
 	eng := sweep.New(2).WithGauge(&g)
-	if _, err := eng.Run(context.Background(),
-		sweep.SourceJobs(topo, core.NewFlooding(), sim.Config{})); err != nil {
+	_, fns := sourceTasks(topo, core.NewFlooding(), allSources(topo))
+	if _, err := eng.RunFuncs(context.Background(), fns); err != nil {
 		t.Fatal(err)
 	}
 	if g.current != 0 {
-		t.Errorf("gauge = %d after Run, want 0", g.current)
+		t.Errorf("gauge = %d after RunFuncs, want 0", g.current)
 	}
 	if g.peak != int64(topo.NumNodes()) {
 		t.Errorf("gauge peak = %d, want %d", g.peak, topo.NumNodes())
@@ -305,10 +305,11 @@ func TestGaugeNetsToZeroOnCancel(t *testing.T) {
 	cancel()
 	var g trackingGauge
 	eng := sweep.New(2).WithGauge(&g)
-	if _, err := eng.Run(ctx, sweep.SourceJobs(topo, core.NewFlooding(), sim.Config{})); !errors.Is(err, context.Canceled) {
+	_, fns := sourceTasks(topo, core.NewFlooding(), allSources(topo))
+	if _, err := eng.RunFuncs(ctx, fns); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if g.current != 0 {
-		t.Errorf("gauge = %d after cancelled Run, want 0", g.current)
+		t.Errorf("gauge = %d after cancelled RunFuncs, want 0", g.current)
 	}
 }

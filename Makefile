@@ -107,7 +107,11 @@ vet:
 # a hoisted key chain, not BernoulliLoss.Deliver: FuzzLossKeyEquivalence
 # holds the two forms to the same verdicts, and
 # TestDifferentialEngineCanonical's lossy and lossy+down cases hold
-# whole lossy runs to the reference engine, which calls Deliver.
+# whole lossy runs to the reference engine, which calls Deliver. A
+# static, churn-free lifetime cell runs its quiet rounds in bulk, and
+# the round-budget matrices above never reach that path:
+# TestQuietStretchDifferential holds batched cells to the per-round
+# reference, checkpoint resumes included.
 session-guard:
 	@$(GO) test ./internal/sim -run='^$$' -list='^TestSessionDifferentialAllKinds$$' | grep -q '^TestSessionDifferentialAllKinds$$' || \
 		{ echo "verify: TestSessionDifferentialAllKinds missing from internal/sim"; exit 1; }
@@ -127,13 +131,17 @@ session-guard:
 		{ echo "verify: TestDifferentialEngineCanonical missing from internal/sim"; exit 1; }
 	@$(GO) test ./internal/sim -run='^$$' -list='^FuzzLossKeyEquivalence$$' | grep -q '^FuzzLossKeyEquivalence$$' || \
 		{ echo "verify: FuzzLossKeyEquivalence missing from internal/sim"; exit 1; }
+	@$(GO) test ./internal/life -run='^$$' -list='^TestQuietStretchDifferential$$' | grep -q '^TestQuietStretchDifferential$$' || \
+		{ echo "verify: TestQuietStretchDifferential missing from internal/life"; exit 1; }
 
 # Short fuzz smoke — the corpus seeds plus a few seconds of mutation
 # per target; CI runs this on every push. go test -fuzz takes one
 # target per invocation. The churn target proves the lifetime engine's
 # churn draws never collide with the loss/failure/replication key
 # domains; the loss-key target checks the engine's hoisted loss and
-# failure draws against the plain keyed chain; the core targets check every paper protocol reaches every
+# failure draws against the plain keyed chain; the quiet-debit target
+# checks the lifetime engine's bulk battery debit against repeated
+# subtraction, bit for bit; the core targets check every paper protocol reaches every
 # node of fuzzed mesh sizes and sources, and that the protocols are
 # pure functions of their inputs; the scenario target checks the
 # document decoder never panics, canonical identities are stable, and
@@ -142,6 +150,7 @@ FUZZ_CORE = FuzzMesh4Reachability FuzzMesh8Reachability FuzzMesh3Reachability Fu
 fuzz-smoke:
 	$(GO) test ./internal/sim -run='^$$' -fuzz='^FuzzChurnDomainDisjoint$$' -fuzztime=5s
 	$(GO) test ./internal/sim -run='^$$' -fuzz='^FuzzLossKeyEquivalence$$' -fuzztime=5s
+	$(GO) test ./internal/life -run='^$$' -fuzz='^FuzzQuietDebit$$' -fuzztime=5s
 	for t in $(FUZZ_CORE); do \
 		$(GO) test ./internal/core -run='^$$' -fuzz="^$$t\$$" -fuzztime=3s || exit 1; \
 	done

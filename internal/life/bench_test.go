@@ -64,12 +64,24 @@ func BenchmarkLifetimeReference(b *testing.B) {
 	benchRounds(b, benchSpec(64, 64, 1, 0.001, Static), referenceRun)
 }
 
+// staticLongSpec is lifetime-static's cell: 2D-4 64x64 at 0.5 J from
+// the center, whose source dies after 2,790 rounds of a 4,096-round
+// budget. Its curve samples every 64 rounds, so quiet batches the
+// rounds between samples; the other rungs' 64-round budget samples
+// every round and never batches.
+func staticLongSpec() Spec {
+	spec := benchSpec(64, 64, 0.5, 0, Static)
+	spec.MaxRounds = 4096
+	return spec
+}
+
 // BenchmarkLifetimeLadder walks the workload axes: death-only (no
 // churn, batteries small enough that nodes die and the graph shrinks)
 // under both a static and a rotating source, churn-heavy (5% of ~8k
-// links flip per round), and churn-heavy at 128x128 (~32k links, 16k
-// nodes). The static death-only rung is the round memo's sweet spot:
-// most rounds mutate nothing and reuse the previous Result outright.
+// links flip per round), churn-heavy at 128x128 (~32k links, 16k
+// nodes), and static-long (lifetime-static's cell). The static rungs
+// are the round memo's sweet spot: most rounds mutate nothing and
+// reuse the previous Result outright.
 func BenchmarkLifetimeLadder(b *testing.B) {
 	b.Run("death-only-static-64", func(b *testing.B) {
 		benchRounds(b, benchSpec(64, 64, 0.003, 0, Static), runStudy)
@@ -82,6 +94,9 @@ func BenchmarkLifetimeLadder(b *testing.B) {
 	})
 	b.Run("churn-heavy-128", func(b *testing.B) {
 		benchRounds(b, benchSpec(128, 128, 1, 0.05, Static), runStudy)
+	})
+	b.Run("static-long-64", func(b *testing.B) {
+		benchRounds(b, staticLongSpec(), runStudy)
 	})
 }
 
@@ -100,5 +115,8 @@ func BenchmarkLifetimeLadderReference(b *testing.B) {
 	})
 	b.Run("churn-heavy-128", func(b *testing.B) {
 		benchRounds(b, benchSpec(128, 128, 1, 0.05, Static), referenceRun)
+	})
+	b.Run("static-long-64", func(b *testing.B) {
+		benchRounds(b, staticLongSpec(), referenceRun)
 	})
 }

@@ -312,6 +312,7 @@ func RunCell(ctx context.Context, spec Spec, index int, ck Checkpointer) (CellRe
 				return CellReport{}, fmt.Errorf("life: cell %d checkpoint save: %w", index, err)
 			}
 		}
+		st.quiet(every)
 	}
 	return st.finish(), nil
 }
@@ -579,13 +580,10 @@ func (st *cellState) hasMilestone(frac float64) bool {
 
 // sampleAt reports whether round r is a regular curve sample: at most
 // ~64 evenly spaced samples per cell, plus the final round.
-func (st *cellState) sampleAt(r int) bool {
-	every := st.spec.MaxRounds / 64
-	if every < 1 {
-		every = 1
-	}
-	return r%every == 0
-}
+func (st *cellState) sampleAt(r int) bool { return r%st.sampleEvery() == 0 }
+
+// sampleEvery is the curve's sampling cadence in rounds.
+func (st *cellState) sampleEvery() int { return max(st.spec.MaxRounds/64, 1) }
 
 func (st *cellState) meanResidual() float64 {
 	sum := 0.0

@@ -17,15 +17,18 @@ var (
 
 // pool is the admission-controlled worker pool between the HTTP
 // handlers and the simulator: a fixed number of workers pull jobs
-// from a bounded queue, and a job that finds the queue full is
+// from a bounded queue, and a job that finds every slot taken is
 // rejected immediately — load is shed at the door instead of piling
-// up latency. Each job carries its request's context; a job whose
-// context has already expired by the time a worker picks it up is
-// skipped, not executed.
+// up latency. A slot is held from admission until the job finishes,
+// so at most workers + queueCap jobs are admitted and unfinished,
+// whether or not an idle worker has reached its receive yet. Each job
+// carries its request's context; a job whose context has already
+// expired by the time a worker picks it up is skipped, not executed.
 type pool struct {
 	mu       sync.Mutex
 	draining bool
-	tasks    chan *task
+	slots    chan struct{} // one token per admitted, unfinished job
+	tasks    chan *task    // as large as slots: a send never blocks
 	wg       sync.WaitGroup
 }
 
@@ -38,16 +41,14 @@ type task struct {
 }
 
 // newPool starts workers goroutines over a queue of capacity queueCap.
-// workers <= 0 means GOMAXPROCS; queueCap < 0 means an unbuffered
-// queue (a job is admitted only if a worker is idle).
+// workers <= 0 means GOMAXPROCS; queueCap < 0 means no queue (a job is
+// admitted only if a worker is free).
 func newPool(workers, queueCap int) *pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if queueCap < 0 {
-		queueCap = 0
-	}
-	p := &pool{tasks: make(chan *task, queueCap)}
+	n := workers + max(queueCap, 0)
+	p := &pool{slots: make(chan struct{}, n), tasks: make(chan *task, n)}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
 		go p.worker()
@@ -63,13 +64,14 @@ func (p *pool) worker() {
 		} else {
 			t.body, t.err = t.fn(t.ctx)
 		}
+		<-p.slots // before done: a caller's next job must find the slot free
 		close(t.done)
 	}
 }
 
 // Do submits fn and waits for its completion or for ctx to expire,
-// whichever is first. It never blocks on admission: a full queue
-// returns errQueueFull at once. When ctx expires while the job is
+// whichever is first. It never blocks on admission: with every slot
+// taken it returns errQueueFull at once. When ctx expires while the job is
 // queued or running, Do returns the context's error immediately; a
 // queued job whose context expired is discarded by the worker without
 // running.
@@ -81,7 +83,8 @@ func (p *pool) Do(ctx context.Context, fn func(context.Context) ([]byte, error))
 		return nil, errDraining
 	}
 	select {
-	case p.tasks <- t:
+	case p.slots <- struct{}{}:
+		p.tasks <- t
 		p.mu.Unlock()
 	default:
 		p.mu.Unlock()

@@ -13,8 +13,7 @@ func TestPoolRunsJobs(t *testing.T) {
 	// Two jobs in flight plus six queued fill a pool of 2 workers and
 	// capacity 6 exactly, and all eight must run. Do never blocks on
 	// admission, so the two long jobs occupy both workers before the
-	// other six are submitted; otherwise a burst that outruns the
-	// workers' first dequeue sheds load with "queue full".
+	// other six are submitted.
 	p := newPool(2, 6)
 	defer drain(t, p)
 	var n atomic.Int64
@@ -75,6 +74,37 @@ func TestPoolQueueFull(t *testing.T) {
 	if _, err := p.Do(context.Background(), func(context.Context) ([]byte, error) { return nil, nil }); !errors.Is(err, errQueueFull) {
 		t.Errorf("err = %v, want errQueueFull", err)
 	}
+}
+
+// A pool with no queue admits one job per worker, counted from
+// admission to completion: a fresh pool admits its first job before
+// any worker has reached its receive, a caller's next job finds the
+// slot of its finished one free, and a job is shed while another runs.
+func TestPoolNoQueueAdmitsPerWorker(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		p := newPool(1, -1)
+		for j := 0; j < 3; j++ {
+			body, err := p.Do(context.Background(), func(context.Context) ([]byte, error) { return []byte("ok"), nil })
+			if err != nil || string(body) != "ok" {
+				t.Fatalf("fresh pool %d, job %d: Do = %q, %v", i, j, body, err)
+			}
+		}
+		drain(t, p)
+	}
+	p := newPool(1, -1)
+	defer drain(t, p)
+	release := make(chan struct{})
+	started := make(chan struct{})
+	go p.Do(context.Background(), func(context.Context) ([]byte, error) {
+		close(started)
+		<-release
+		return nil, nil
+	})
+	<-started
+	if _, err := p.Do(context.Background(), func(context.Context) ([]byte, error) { return nil, nil }); !errors.Is(err, errQueueFull) {
+		t.Errorf("second job with the only worker busy: err = %v, want errQueueFull", err)
+	}
+	close(release)
 }
 
 func TestPoolSkipsExpiredQueuedJob(t *testing.T) {

@@ -55,8 +55,9 @@ type Config struct {
 	// Workers is the simulation worker pool size (<= 0: GOMAXPROCS).
 	Workers int
 	// QueueCap is the bounded job queue in front of the pool; a job
-	// arriving to a full queue is shed with 429. 0 means 64; negative
-	// means no queue (admit only onto an idle worker).
+	// arriving when Workers + QueueCap jobs are admitted and unfinished
+	// is shed with 429. 0 means 64; negative means no queue (admit only
+	// while a worker is free).
 	QueueCap int
 	// CacheEntries bounds the result cache (0: 1024; negative:
 	// caching disabled). CacheBytes bounds the cached body bytes

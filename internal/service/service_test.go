@@ -202,6 +202,34 @@ func TestQueueFullSheds429(t *testing.T) {
 	}
 }
 
+// With no queue (-queue -1) a fresh server serves its first request,
+// and sheds a concurrent second one while the only worker is busy.
+func TestNoQueueServesFirstRequest(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		if w := post(New(Config{Workers: 1, QueueCap: -1}), "/v1/run", runDoc); w.Code != http.StatusOK {
+			t.Fatalf("fresh server %d: first request status = %d, want 200; body %s", i, w.Code, w.Body)
+		}
+	}
+	srv := New(Config{Workers: 1, QueueCap: -1})
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	srv.hookBeforeJob = func() {
+		entered <- struct{}{}
+		<-release
+	}
+	first := make(chan int, 1)
+	go func() { first <- post(srv, "/v1/run", runDoc).Code }()
+	<-entered
+	second := `{"topology": {"kind": "2d4", "m": 8, "n": 8}, "sources": [{"x": 2, "y": 1}]}`
+	if w := post(srv, "/v1/run", second); w.Code != http.StatusTooManyRequests {
+		t.Errorf("concurrent second request: status = %d, want 429; body %s", w.Code, w.Body)
+	}
+	close(release)
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("first request: status = %d, want 200", code)
+	}
+}
+
 func TestDeadlineExceeded504(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	release := make(chan struct{})

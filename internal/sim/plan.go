@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"math/bits"
 	"reflect"
+	"slices"
 	"sync"
 
 	"wsnbcast/internal/grid"
@@ -20,12 +22,17 @@ import (
 type relayPlan struct {
 	relay bitset
 	delay []int32 // first tx = decode slot + delay[i]; valid when relay set
-	// retr holds every node's retransmission offsets concatenated;
-	// node i's are retr[retrIdx[i]:retrIdx[i+1]]. The source's entry is
-	// populated even when the source is not a relay (the engine
+	// The retransmission index is sparse, because few nodes retransmit
+	// (the paper's small set of designated retransmissions; none under
+	// flooding). hasRetr flags the nodes with offsets, retrRank[w]
+	// counts the flagged nodes in the words of hasRetr before w, and
+	// the flagged node of rank j has offsets retr[retrIdx[j]:retrIdx[j+1]].
+	// The source is flagged even when it is not a relay (the engine
 	// schedules source retransmissions unconditionally).
-	retr    []int
-	retrIdx []int32
+	hasRetr  bitset
+	retrRank []int32
+	retr     []int
+	retrIdx  []int32
 	// span bounds how far past its decode slot a relay's bookings reach:
 	// the maximum of delay plus largest retransmit offset over relays.
 	// A resumed replay from slot S (engine.rewind) revisits only the
@@ -37,9 +44,15 @@ type relayPlan struct {
 func (pl *relayPlan) isRelay(i int32) bool { return pl.relay.get(i) }
 
 // retransmits returns node i's retransmission offsets (already
-// filtered to >= 1).
+// filtered to >= 1). It must stay inlinable: the engine calls it on
+// every relay decode.
 func (pl *relayPlan) retransmits(i int32) []int {
-	return pl.retr[pl.retrIdx[i]:pl.retrIdx[i+1]]
+	w, bit := pl.hasRetr[i>>6], uint64(1)<<(uint32(i)&63)
+	if w&bit == 0 {
+		return nil
+	}
+	j := pl.retrRank[i>>6] + int32(bits.OnesCount64(w&(bit-1)))
+	return pl.retr[pl.retrIdx[j]:pl.retrIdx[j+1]]
 }
 
 // planKey identifies a cached relay plan. The protocol value itself is
@@ -69,7 +82,7 @@ func planCacheable(p Protocol) bool {
 
 // bigPlanCache is the large-grid plan cache: a tiny mutex-guarded LRU
 // instead of the unbounded sync.Map. A compiled plan for a 1M-node
-// mesh is ~5 MiB; pinning one per (size, source, protocol) forever —
+// mesh is ~4 MiB; pinning one per (size, source, protocol) forever —
 // the sync.Map policy, fine below largeGridNodes — would let a source
 // sweep hold gigabytes. Caching is still required at scale: protocols
 // allocate in Retransmits per relay node, so compiling per Run would
@@ -139,9 +152,11 @@ func planFor(t grid.Topology, p Protocol, src grid.Coord) *relayPlan {
 func compilePlan(t grid.Topology, p Protocol, src grid.Coord, srcIdx int) *relayPlan {
 	v := t.NumNodes()
 	pl := &relayPlan{
-		relay:   newBitset(v),
-		delay:   make([]int32, v),
-		retrIdx: make([]int32, v+1),
+		relay:    newBitset(v),
+		delay:    make([]int32, v),
+		hasRetr:  newBitset(v),
+		retrRank: make([]int32, (v+63)>>6),
+		retrIdx:  []int32{0},
 	}
 	for i := 0; i < v; i++ {
 		c := t.At(i)
@@ -157,6 +172,9 @@ func compilePlan(t grid.Topology, p Protocol, src grid.Coord, srcIdx int) *relay
 		} else if i == srcIdx {
 			offs = p.Retransmits(t, src, c)
 		}
+		if i&63 == 0 {
+			pl.retrRank[i>>6] = int32(len(pl.retrIdx) - 1)
+		}
 		reach := int(pl.delay[i])
 		for _, off := range offs {
 			if off >= 1 {
@@ -167,7 +185,12 @@ func compilePlan(t grid.Topology, p Protocol, src grid.Coord, srcIdx int) *relay
 		if pl.relay.get(int32(i)) {
 			pl.span = max(pl.span, reach)
 		}
-		pl.retrIdx[i+1] = int32(len(pl.retr))
+		if n := int32(len(pl.retr)); n > pl.retrIdx[len(pl.retrIdx)-1] {
+			pl.hasRetr.set(int32(i))
+			pl.retrIdx = append(pl.retrIdx, n)
+		}
 	}
+	pl.retr = slices.Clone(pl.retr) // drop append's spare capacity: plans are cached
+	pl.retrIdx = slices.Clone(pl.retrIdx)
 	return pl
 }

@@ -35,18 +35,56 @@ func (funcProto) IsRelay(grid.Topology, grid.Coord, grid.Coord) bool      { retu
 func (funcProto) TxDelay(grid.Topology, grid.Coord, grid.Coord) int       { return 1 }
 func (funcProto) Retransmits(grid.Topology, grid.Coord, grid.Coord) []int { return nil }
 
+// sparseProto retransmits from few nodes, as the paper protocols do:
+// the source, which never relays, and every Every-th node that relays.
+type sparseProto struct{ Every int }
+
+func (sparseProto) Name() string { return "sparse-test" }
+
+func (sparseProto) IsRelay(t grid.Topology, src, c grid.Coord) bool {
+	return c != src && (c.X+c.Y)%3 != 0
+}
+
+func (sparseProto) TxDelay(t grid.Topology, src, c grid.Coord) int { return 1 + c.X%2 }
+
+func (p sparseProto) Retransmits(t grid.Topology, src, c grid.Coord) []int {
+	if c == src || (p.Every > 0 && t.Index(c)%p.Every == 0) {
+		return []int{1 + c.Y%3, 4}
+	}
+	return nil
+}
+
 // TestCompilePlanMatchesProtocol verifies the compiled table against
-// direct interface calls for every node.
+// direct interface calls for every node: a protocol whose relays all
+// retransmit, sparse ones whose flagged nodes straddle several words of
+// the retransmit index, and one that never retransmits.
 func TestCompilePlanMatchesProtocol(t *testing.T) {
-	topo := grid.NewMesh2D4(7, 5)
-	src := grid.C2(4, 3)
-	p := planTestProto{Variant: 1}
+	small := grid.NewMesh2D4(7, 5)
+	wide := grid.NewMesh2D4(23, 11) // 253 nodes: four index words
+	for _, c := range []struct {
+		topo grid.Topology
+		p    Protocol
+		src  grid.Coord
+	}{
+		{small, planTestProto{Variant: 1}, grid.C2(4, 3)},
+		{wide, sparseProto{Every: 37}, grid.C2(9, 6)},
+		{wide, sparseProto{Every: 64}, grid.C2(1, 1)},
+		{wide, sparseProto{}, grid.C2(23, 11)},
+		{wide, funcProto{}, grid.C2(2, 2)},
+	} {
+		checkPlan(t, c.topo, c.p, c.src)
+	}
+}
+
+func checkPlan(t *testing.T, topo grid.Topology, p Protocol, src grid.Coord) {
+	t.Helper()
 	pl := compilePlan(topo, p, src, topo.Index(src))
+	flagged := 0
 	for i := 0; i < topo.NumNodes(); i++ {
 		c := topo.At(i)
 		relay := p.IsRelay(topo, src, c)
 		if pl.isRelay(int32(i)) != relay {
-			t.Fatalf("node %s: plan relay=%v, protocol says %v", c, pl.isRelay(int32(i)), relay)
+			t.Fatalf("%s node %s: plan relay=%v, protocol says %v", p.Name(), c, pl.isRelay(int32(i)), relay)
 		}
 		if relay {
 			want := p.TxDelay(topo, src, c)
@@ -54,7 +92,7 @@ func TestCompilePlanMatchesProtocol(t *testing.T) {
 				want = 1
 			}
 			if pl.delay[i] != int32(want) {
-				t.Fatalf("node %s: plan delay=%d, want %d", c, pl.delay[i], want)
+				t.Fatalf("%s node %s: plan delay=%d, want %d", p.Name(), c, pl.delay[i], want)
 			}
 		}
 		var wantOffs []int
@@ -65,15 +103,22 @@ func TestCompilePlanMatchesProtocol(t *testing.T) {
 				}
 			}
 		}
+		if len(wantOffs) > 0 {
+			flagged++
+		}
 		got := pl.retransmits(int32(i))
 		if len(got) != len(wantOffs) {
-			t.Fatalf("node %s: plan offsets %v, want %v", c, got, wantOffs)
+			t.Fatalf("%s node %s: plan offsets %v, want %v", p.Name(), c, got, wantOffs)
 		}
 		for k := range got {
 			if got[k] != wantOffs[k] {
-				t.Fatalf("node %s: plan offsets %v, want %v", c, got, wantOffs)
+				t.Fatalf("%s node %s: plan offsets %v, want %v", p.Name(), c, got, wantOffs)
 			}
 		}
+	}
+	if n := pl.hasRetr.count(); n != flagged || len(pl.retrIdx) != flagged+1 {
+		t.Fatalf("%s: %d flagged nodes and %d index entries, want %d and %d",
+			p.Name(), n, len(pl.retrIdx), flagged, flagged+1)
 	}
 }
 

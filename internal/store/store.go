@@ -429,11 +429,16 @@ func Key(endpoint string, doc any) (string, error) {
 // EncodeBody renders a response body exactly as the HTTP service does
 // — indented JSON plus a trailing newline — so bodies produced by the
 // job subsystem and the CLIs are byte-identical to the synchronous
-// serving path.
+// serving path. The body is an exact-size slice: caches that bound
+// their bytes by len hold no unaccounted spare capacity (MarshalIndent's
+// buffer runs ~12% past its length).
 func EncodeBody(v any) ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	body := make([]byte, len(b)+1)
+	copy(body, b)
+	body[len(b)] = '\n'
+	return body, nil
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -308,5 +309,28 @@ func TestEncodeBodyMatchesServiceRendering(t *testing.T) {
 	want := "{\n  \"name\": \"x\"\n}\n"
 	if string(b) != want {
 		t.Errorf("EncodeBody = %q, want %q", b, want)
+	}
+}
+
+// EncodeBody returns an exact-size slice, so a cache that counts len
+// counts every byte the body holds, and the bytes stay MarshalIndent's.
+func TestEncodeBodyExactSize(t *testing.T) {
+	rows := make([]map[string]float64, 500)
+	for i := range rows {
+		rows[i] = map[string]float64{"source": float64(i), "energy_j": float64(i) / 7}
+	}
+	b, err := EncodeBody(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(b) != len(b) {
+		t.Errorf("cap(body) = %d, len = %d: want no spare capacity", cap(b), len(b))
+	}
+	want, err := json.MarshalIndent(rows, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, append(want, '\n')) {
+		t.Error("body differs from MarshalIndent plus a newline")
 	}
 }

@@ -25,6 +25,8 @@ for sym in \
 	'wsnbcast/internal/life.(*cellState).account' \
 	'wsnbcast/internal/life.(*cellState).round' \
 	'wsnbcast/internal/life.(*cellState).begin' \
+	'wsnbcast/internal/life.(*cellState).quiet' \
+	'wsnbcast/internal/life.debit' \
 	'wsnbcast/internal/sim.(*engine).step' \
 	'wsnbcast/internal/sim.(*Session).Run' \
 	'wsnbcast/internal/mc.(*worker).replicate'; do

@@ -111,7 +111,13 @@ vet:
 # static, churn-free lifetime cell runs its quiet rounds in bulk, and
 # the round-budget matrices above never reach that path:
 # TestQuietStretchDifferential holds batched cells to the per-round
-# reference, checkpoint resumes included.
+# reference, checkpoint resumes included. Only traced runs sort a slot's
+# transmitters, and only the first repair planning round scans every
+# uncovered node: the differential helpers (diffOne, largeDiffOne) also
+# hold an untraced Run to the reference, and TestFrontierMatchesFullScan
+# reruns the full scan beside every frontier planning round.
+# FuzzChurnKeyEquivalence holds the lifetime engine's hoisted churn draw
+# to ChurnUnit.
 session-guard:
 	@$(GO) test ./internal/sim -run='^$$' -list='^TestSessionDifferentialAllKinds$$' | grep -q '^TestSessionDifferentialAllKinds$$' || \
 		{ echo "verify: TestSessionDifferentialAllKinds missing from internal/sim"; exit 1; }
@@ -133,13 +139,22 @@ session-guard:
 		{ echo "verify: FuzzLossKeyEquivalence missing from internal/sim"; exit 1; }
 	@$(GO) test ./internal/life -run='^$$' -list='^TestQuietStretchDifferential$$' | grep -q '^TestQuietStretchDifferential$$' || \
 		{ echo "verify: TestQuietStretchDifferential missing from internal/life"; exit 1; }
+	@$(GO) test ./internal/sim -run='^$$' -list='^TestFrontierMatchesFullScan$$' | grep -q '^TestFrontierMatchesFullScan$$' || \
+		{ echo "verify: TestFrontierMatchesFullScan missing from internal/sim"; exit 1; }
+	@$(GO) test ./internal/sim -run='^$$' -list='^FuzzChurnKeyEquivalence$$' | grep -q '^FuzzChurnKeyEquivalence$$' || \
+		{ echo "verify: FuzzChurnKeyEquivalence missing from internal/sim"; exit 1; }
+	@for f in differential_test.go largegrid_test.go; do \
+		grep -q 'untracedMatches(t, want' internal/sim/$$f || \
+		{ echo "verify: internal/sim/$$f no longer checks an untraced Run against the reference"; exit 1; }; \
+	done
 
 # Short fuzz smoke — the corpus seeds plus a few seconds of mutation
 # per target; CI runs this on every push. go test -fuzz takes one
 # target per invocation. The churn target proves the lifetime engine's
 # churn draws never collide with the loss/failure/replication key
 # domains; the loss-key target checks the engine's hoisted loss and
-# failure draws against the plain keyed chain; the quiet-debit target
+# failure draws against the plain keyed chain, and the churn-key target
+# the lifetime engine's hoisted churn draws against ChurnUnit; the quiet-debit target
 # checks the lifetime engine's bulk battery debit against repeated
 # subtraction, bit for bit; the core targets check every paper protocol reaches every
 # node of fuzzed mesh sizes and sources, and that the protocols are
@@ -150,6 +165,7 @@ FUZZ_CORE = FuzzMesh4Reachability FuzzMesh8Reachability FuzzMesh3Reachability Fu
 fuzz-smoke:
 	$(GO) test ./internal/sim -run='^$$' -fuzz='^FuzzChurnDomainDisjoint$$' -fuzztime=5s
 	$(GO) test ./internal/sim -run='^$$' -fuzz='^FuzzLossKeyEquivalence$$' -fuzztime=5s
+	$(GO) test ./internal/sim -run='^$$' -fuzz='^FuzzChurnKeyEquivalence$$' -fuzztime=5s
 	$(GO) test ./internal/life -run='^$$' -fuzz='^FuzzQuietDebit$$' -fuzztime=5s
 	for t in $(FUZZ_CORE); do \
 		$(GO) test ./internal/core -run='^$$' -fuzz="^$$t\$$" -fuzztime=3s || exit 1; \

@@ -20,7 +20,10 @@
 // other side null, so a renamed or newly added benchmark is visible
 // rather than silently dropped. Rows pair by name without the "-N"
 // GOMAXPROCS suffix go test appends; each side records its GOMAXPROCS
-// as a field.
+// as a field. A benchmark that ran several times (go test -count N)
+// records the median of each column and the number of runs. -note
+// attaches a free-text remark to the snapshot: how it was measured,
+// and on what host.
 package main
 
 import (
@@ -51,6 +54,7 @@ type metrics struct {
 	Iterations  int64              `json:"iterations"`
 	GOMAXPROCS  int                `json:"gomaxprocs"`
 	Extra       map[string]float64 `json:"extra,omitempty"`
+	Runs        int                `json:"runs,omitempty"` // rows folded into the medians, when more than one
 }
 
 // entry is one benchmark's merged record. Speedup and AllocRatio are
@@ -133,15 +137,55 @@ func parseBench(r io.Reader) (map[string]metrics, map[string]string, error) {
 		names[i] = rw.name
 	}
 	suffix, procs := procsSuffix(names)
-	results := make(map[string]metrics)
+	runs := make(map[string][]metrics)
 	pkgs := make(map[string]string)
 	for _, rw := range rows {
 		rw.mt.GOMAXPROCS = procs
 		key := rw.pkg + "." + strings.TrimSuffix(rw.name, suffix)
-		results[key] = rw.mt
+		runs[key] = append(runs[key], rw.mt)
 		pkgs[key] = rw.pkg
 	}
+	results := make(map[string]metrics, len(runs))
+	for key, ms := range runs {
+		results[key] = medianOf(ms)
+	}
 	return results, pkgs, nil
+}
+
+// medianOf folds the rows of one benchmark into one: each column's
+// median (the mean of the middle two for an even count), and the row
+// count when there is more than one. A single row comes back as is.
+func medianOf(ms []metrics) metrics {
+	if len(ms) == 1 {
+		return ms[0]
+	}
+	col := func(f func(metrics) float64) float64 {
+		v := make([]float64, len(ms))
+		for i, m := range ms {
+			v[i] = f(m)
+		}
+		sort.Float64s(v)
+		mid := len(v) / 2
+		if len(v)%2 == 1 {
+			return v[mid]
+		}
+		return (v[mid-1] + v[mid]) / 2
+	}
+	out := metrics{
+		NsPerOp:     col(func(m metrics) float64 { return m.NsPerOp }),
+		BytesPerOp:  int64(col(func(m metrics) float64 { return float64(m.BytesPerOp) })),
+		AllocsPerOp: int64(col(func(m metrics) float64 { return float64(m.AllocsPerOp) })),
+		Iterations:  int64(col(func(m metrics) float64 { return float64(m.Iterations) })),
+		GOMAXPROCS:  ms[0].GOMAXPROCS,
+		Runs:        len(ms),
+	}
+	for unit := range ms[0].Extra {
+		if out.Extra == nil {
+			out.Extra = make(map[string]float64)
+		}
+		out.Extra[unit] = col(func(m metrics) float64 { return m.Extra[unit] })
+	}
+	return out
 }
 
 // procsSuffix returns the "-P" suffix go test appended to the
@@ -211,6 +255,7 @@ func round2(v float64) float64 {
 // snapshot is one dated measurement: a full before/after merge.
 type snapshot struct {
 	Date     string            `json:"date,omitempty"`
+	Note     string            `json:"note,omitempty"`
 	Baseline string            `json:"baseline"`
 	Units    map[string]string `json:"units"`
 	Results  []entry           `json:"results"`
@@ -245,7 +290,7 @@ func loadHistory(path string) ([]snapshot, error) {
 }
 
 // buildSnapshot parses and merges one before/after pair.
-func buildSnapshot(beforePath, afterPath, date string) (snapshot, error) {
+func buildSnapshot(beforePath, afterPath, date, note string) (snapshot, error) {
 	var snap snapshot
 	bf, err := os.Open(beforePath)
 	if err != nil {
@@ -279,6 +324,7 @@ func buildSnapshot(beforePath, afterPath, date string) (snapshot, error) {
 	}
 	return snapshot{
 		Date:     date,
+		Note:     note,
 		Baseline: beforePath,
 		Units:    map[string]string{"ns_op": "ns/op", "b_op": "B/op", "allocs_op": "allocs/op"},
 		Results:  merge(before, after, pkgsA),
@@ -305,8 +351,8 @@ func upsert(hist []snapshot, snap snapshot) []snapshot {
 // run upserts a dated snapshot into outPath's history (creating or
 // converting the file as needed), or writes a one-entry history to w
 // when outPath is empty.
-func run(beforePath, afterPath, outPath, date string, w io.Writer) error {
-	snap, err := buildSnapshot(beforePath, afterPath, date)
+func run(beforePath, afterPath, outPath, date, note string, w io.Writer) error {
+	snap, err := buildSnapshot(beforePath, afterPath, date, note)
 	if err != nil {
 		return err
 	}
@@ -336,6 +382,7 @@ func main() {
 	after := flag.String("after", "", "current `file` (same format)")
 	out := flag.String("o", "", "history file to append to (default: print a one-entry history to stdout)")
 	date := flag.String("date", "", "snapshot date (default today, YYYY-MM-DD)")
+	note := flag.String("note", "", "free-text remark recorded with the snapshot (how and where it was measured)")
 	flag.Parse()
 	if *before == "" || *after == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -before and -after are required")
@@ -345,7 +392,7 @@ func main() {
 	if *date == "" {
 		*date = time.Now().Format("2006-01-02")
 	}
-	if err := run(*before, *after, *out, *date, os.Stdout); err != nil {
+	if err := run(*before, *after, *out, *date, *note, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}

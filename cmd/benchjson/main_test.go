@@ -158,7 +158,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run(bp, ap, "", "2026-08-06", &buf); err != nil {
+	if err := run(bp, ap, "", "2026-08-06", "", &buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc document
@@ -186,10 +186,10 @@ func TestRunAppendsHistory(t *testing.T) {
 	os.WriteFile(bp, []byte(beforeText), 0o644)
 	os.WriteFile(ap, []byte(afterText), 0o644)
 
-	if err := run(bp, ap, out, "2026-08-05", nil); err != nil {
+	if err := run(bp, ap, out, "2026-08-05", "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(bp, ap, out, "2026-08-06", nil); err != nil {
+	if err := run(bp, ap, out, "2026-08-06", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -207,14 +207,14 @@ func TestRunAppendsHistory(t *testing.T) {
 	// Legacy single-snapshot file: converted, old results preserved.
 	legacy := filepath.Join(dir, "legacy.json")
 	var buf bytes.Buffer
-	if err := run(bp, ap, "", "", &buf); err != nil {
+	if err := run(bp, ap, "", "", "", &buf); err != nil {
 		t.Fatal(err)
 	}
 	var one document
 	json.Unmarshal(buf.Bytes(), &one)
 	legacyBytes, _ := json.Marshal(one.History[0]) // {baseline, units, results}, dateless
 	os.WriteFile(legacy, legacyBytes, 0o644)
-	if err := run(bp, ap, legacy, "2026-08-06", nil); err != nil {
+	if err := run(bp, ap, legacy, "2026-08-06", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	data, _ = os.ReadFile(legacy)
@@ -229,7 +229,7 @@ func TestRunAppendsHistory(t *testing.T) {
 	// Garbage in the output path must error, not be overwritten.
 	bad := filepath.Join(dir, "bad.json")
 	os.WriteFile(bad, []byte("not json"), 0o644)
-	if err := run(bp, ap, bad, "2026-08-06", nil); err == nil {
+	if err := run(bp, ap, bad, "2026-08-06", "", nil); err == nil {
 		t.Error("corrupt history file silently overwritten")
 	}
 }
@@ -246,15 +246,15 @@ func TestRunReplacesSameDateSnapshot(t *testing.T) {
 	os.WriteFile(bp, []byte(beforeText), 0o644)
 	os.WriteFile(ap, []byte(afterText), 0o644)
 
-	if err := run(bp, ap, out, "2026-08-05", nil); err != nil {
+	if err := run(bp, ap, out, "2026-08-05", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	// Same date, different measurement (before vs itself: all pairs
 	// shared, so the entry count changes from 5 to 4).
-	if err := run(bp, bp, out, "2026-08-05", nil); err != nil {
+	if err := run(bp, bp, out, "2026-08-05", "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(bp, ap, out, "2026-08-06", nil); err != nil {
+	if err := run(bp, ap, out, "2026-08-06", "", nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -288,10 +288,56 @@ func TestRunRejectsEmptyInput(t *testing.T) {
 	full := filepath.Join(dir, "full.txt")
 	os.WriteFile(empty, []byte("no benchmarks here\n"), 0o644)
 	os.WriteFile(full, []byte(beforeText), 0o644)
-	if err := run(empty, full, "", "", &bytes.Buffer{}); err == nil {
+	if err := run(empty, full, "", "", "", &bytes.Buffer{}); err == nil {
 		t.Error("empty baseline accepted")
 	}
-	if err := run(full, empty, "", "", &bytes.Buffer{}); err == nil {
+	if err := run(full, empty, "", "", "", &bytes.Buffer{}); err == nil {
 		t.Error("empty current run accepted")
+	}
+}
+
+// TestParseBenchMedianOfRepeatedRows: go test -count N prints one row
+// per run; they fold into each column's median and the run count.
+func TestParseBenchMedianOfRepeatedRows(t *testing.T) {
+	const rows = "pkg: wsnbcast/internal/life\n" +
+		"BenchmarkLifetime-2 \t 10\t 300 ns/op\t 7 rounds/sec\t 50 B/op\t 5 allocs/op\n" +
+		"BenchmarkLifetime-2 \t 12\t 100 ns/op\t 9 rounds/sec\t 40 B/op\t 4 allocs/op\n" +
+		"BenchmarkLifetime-2 \t 11\t 200 ns/op\t 8 rounds/sec\t 60 B/op\t 6 allocs/op\n" +
+		"BenchmarkOnce-2 \t 3\t 42 ns/op\t 1 B/op\t 1 allocs/op\n"
+	results, _, err := parseBench(strings.NewReader(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := results["wsnbcast/internal/life.BenchmarkLifetime"]
+	if m.NsPerOp != 200 || m.BytesPerOp != 50 || m.AllocsPerOp != 5 || m.Iterations != 11 ||
+		m.Extra["rounds/sec"] != 8 || m.Runs != 3 || m.GOMAXPROCS != 2 {
+		t.Errorf("median of three rows = %+v", m)
+	}
+	if once := results["wsnbcast/internal/life.BenchmarkOnce"]; once.Runs != 0 || once.NsPerOp != 42 {
+		t.Errorf("single row = %+v, want it unchanged with no run count", once)
+	}
+}
+
+// TestRunRecordsNote: -note lands in the snapshot.
+func TestRunRecordsNote(t *testing.T) {
+	dir := t.TempDir()
+	bp := filepath.Join(dir, "before.txt")
+	ap := filepath.Join(dir, "after.txt")
+	if err := os.WriteFile(bp, []byte(beforeText), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ap, []byte(afterText), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := run(bp, ap, "", "2026-08-06", "5 runs on 2 vCPUs", &buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc document
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.History[0].Note; got != "5 runs on 2 vCPUs" {
+		t.Errorf("note = %q", got)
 	}
 }

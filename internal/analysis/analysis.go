@@ -83,15 +83,19 @@ func Sweep(t grid.Topology, p sim.Protocol, cfg sim.Config) (Summary, error) {
 }
 
 // SweepWorkers is Sweep on a pool of the given size (<= 0 means
-// GOMAXPROCS). Each task broadcasts from one source into its own slot,
-// and the slots aggregate in source order, so the Summary is identical
-// for every pool size.
+// GOMAXPROCS). Each task broadcasts from one source and keeps only that
+// run's scalars in its own slot, dropping the Result, so the sweep
+// holds O(N) memory rather than N whole Results; the slots fold in
+// source order, so the Summary is identical for every pool size.
 func SweepWorkers(t grid.Topology, p sim.Protocol, cfg sim.Config, workers int) (Summary, error) {
-	results := make([]*sim.Result, t.NumNodes())
-	fns := make([]func() error, len(results))
+	runs := make([]sourceRun, t.NumNodes())
+	fns := make([]func() error, len(runs))
 	for i := range fns {
-		fns[i] = func() (err error) {
-			results[i], err = sim.Run(t, p, t.At(i), cfg)
+		fns[i] = func() error {
+			r, err := sim.Run(t, p, t.At(i), cfg)
+			if err == nil {
+				runs[i] = runOf(r)
+			}
 			return err
 		}
 	}
@@ -102,7 +106,18 @@ func SweepWorkers(t grid.Topology, p sim.Protocol, cfg sim.Config, workers int) 
 				fmt.Errorf("analysis: source %s: %w", t.At(i), err)
 		}
 	}
-	return Summarize(t, p, results)
+	return summarize(t, p, runs)
+}
+
+// sourceRun is what a Summary reads of one source's Result.
+type sourceRun struct {
+	Case
+	repairs, collisions int
+	reached, total      int
+}
+
+func runOf(r *sim.Result) sourceRun {
+	return sourceRun{Case: caseOf(r), repairs: r.Repairs, collisions: r.Collisions, reached: r.Reached, total: r.Total}
 }
 
 // Summarize aggregates per-source results into a Summary. The results
@@ -110,14 +125,23 @@ func SweepWorkers(t grid.Topology, p sim.Protocol, cfg sim.Config, workers int) 
 // keep the earliest source, so the order is part of the deterministic
 // output contract.
 func Summarize(t grid.Topology, p sim.Protocol, results []*sim.Result) (Summary, error) {
+	runs := make([]sourceRun, len(results))
+	for i, r := range results {
+		runs[i] = runOf(r)
+	}
+	return summarize(t, p, runs)
+}
+
+// summarize folds the runs into a Summary in slice order.
+func summarize(t grid.Topology, p sim.Protocol, runs []sourceRun) (Summary, error) {
 	s := Summary{Kind: t.Kind(), Protocol: p.Name()}
 	sumEnergy := 0.0
-	for _, r := range results {
-		if !r.FullyReached() {
+	for _, r := range runs {
+		if r.reached != r.total {
 			return s, fmt.Errorf("analysis: source %s reached only %d/%d nodes",
-				r.Source, r.Reached, r.Total)
+				r.Source, r.reached, r.total)
 		}
-		c := caseOf(r)
+		c := r.Case
 		s.EnergyStats.Add(c.EnergyJ)
 		s.TxStats.Add(float64(c.Tx))
 		s.DelayStats.Add(float64(c.Delay))
@@ -127,17 +151,17 @@ func Summarize(t grid.Topology, p sim.Protocol, results []*sim.Result) (Summary,
 		if s.Runs == 0 || c.EnergyJ > s.Worst.EnergyJ {
 			s.Worst = c
 		}
-		if r.Delay > s.MaxDelay || s.Runs == 0 {
-			s.MaxDelay = r.Delay
-			s.MaxDelaySource = r.Source
+		if c.Delay > s.MaxDelay || s.Runs == 0 {
+			s.MaxDelay = c.Delay
+			s.MaxDelaySource = c.Source
 		}
 		s.Runs++
 		sumEnergy += c.EnergyJ
-		s.TotalRepairs += r.Repairs
-		if r.Repairs > s.MaxRepairs {
-			s.MaxRepairs = r.Repairs
+		s.TotalRepairs += r.repairs
+		if r.repairs > s.MaxRepairs {
+			s.MaxRepairs = r.repairs
 		}
-		s.TotalCollisions += r.Collisions
+		s.TotalCollisions += r.collisions
 	}
 	if s.Runs > 0 {
 		s.MeanEnergyJ = sumEnergy / float64(s.Runs)

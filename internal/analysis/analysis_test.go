@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -343,5 +344,55 @@ func TestSummarizeMatchesSweep(t *testing.T) {
 	}
 	if fromSerial != fromEngine {
 		t.Errorf("Summarize(serial results) != Sweep:\n%+v\nvs\n%+v", fromSerial, fromEngine)
+	}
+}
+
+// heapProbe wraps a protocol and, the first time a relay plan is
+// compiled for the probed source, collects garbage and records the live
+// heap. Being a pointer, it keeps every plan out of the process-wide
+// plan cache, so the heap it sees is what the sweep itself retains.
+type heapProbe struct {
+	sim.Protocol
+	src  grid.Coord
+	heap uint64 // live heap at the probe, 0 until it fires
+}
+
+func (h *heapProbe) IsRelay(t grid.Topology, src, node grid.Coord) bool {
+	if src == h.src && h.heap == 0 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		h.heap = ms.HeapAlloc
+	}
+	return h.Protocol.IsRelay(t, src, node)
+}
+
+// TestSweepRetainsLinearHeap bounds what an all-sources sweep keeps
+// alive. On 2D-4 64x64 with one worker, when the last source's
+// broadcast starts, the 4,095 earlier sources must be held as scalars,
+// not as Results: a Result carries per-node decode slots, transmission
+// slots and energies, so keeping them all retained about 700 MB here.
+func TestSweepRetainsLinearHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4,096-source sweep skipped in -short mode")
+	}
+	topo := grid.NewMesh2D4(64, 64)
+	probe := &heapProbe{Protocol: core.NewMesh4Protocol(), src: topo.At(topo.NumNodes() - 1)}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
+	s, err := SweepWorkers(topo, probe, sim.Config{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Runs != topo.NumNodes() || probe.heap == 0 {
+		t.Fatalf("sweep ran %d of %d sources, probe fired: %v", s.Runs, topo.NumNodes(), probe.heap != 0)
+	}
+	const limit = 16 << 20
+	if grown := int64(probe.heap) - int64(base); grown > limit {
+		t.Errorf("sweep retained %d MiB before its last source, want at most %d MiB", grown>>20, limit>>20)
+	} else {
+		t.Logf("sweep retained %d KiB before its last source", grown>>10)
 	}
 }

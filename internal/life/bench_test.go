@@ -38,7 +38,9 @@ func benchRounds(b *testing.B, spec Spec, run func(context.Context, Spec) ([]Cel
 		if err != nil {
 			b.Fatal(err)
 		}
-		rounds += cells[0].Rounds
+		for _, c := range cells {
+			rounds += c.Rounds
+		}
 	}
 	b.ReportMetric(float64(rounds)/b.Elapsed().Seconds(), "rounds/sec")
 }
@@ -75,13 +77,26 @@ func staticLongSpec() Spec {
 	return spec
 }
 
+// churnRotateSpec is lifetime-churn's study shape: 2D-4 48x48 at
+// 0.05 J, round-robin and residual rotation (two cells) under 2% link
+// churn with p_new 0.25, 32 rounds. Every round mutates the session, so
+// none is memoized, and the damaged meshes keep the repair planner
+// busy.
+func churnRotateSpec() Spec {
+	spec := benchSpec(48, 48, 0.05, 0.02, RoundRobin)
+	spec.Strategies = []Strategy{RoundRobin, Residual}
+	spec.MaxRounds = 32
+	return spec
+}
+
 // BenchmarkLifetimeLadder walks the workload axes: death-only (no
 // churn, batteries small enough that nodes die and the graph shrinks)
 // under both a static and a rotating source, churn-heavy (5% of ~8k
 // links flip per round), churn-heavy at 128x128 (~32k links, 16k
-// nodes), and static-long (lifetime-static's cell). The static rungs
-// are the round memo's sweet spot: most rounds mutate nothing and
-// reuse the previous Result outright.
+// nodes), churn-rotate (lifetime-churn's study) and static-long
+// (lifetime-static's cell). The static rungs are the round memo's
+// sweet spot: most rounds mutate nothing and reuse the previous Result
+// outright.
 func BenchmarkLifetimeLadder(b *testing.B) {
 	b.Run("death-only-static-64", func(b *testing.B) {
 		benchRounds(b, benchSpec(64, 64, 0.003, 0, Static), runStudy)
@@ -94,6 +109,9 @@ func BenchmarkLifetimeLadder(b *testing.B) {
 	})
 	b.Run("churn-heavy-128", func(b *testing.B) {
 		benchRounds(b, benchSpec(128, 128, 1, 0.05, Static), runStudy)
+	})
+	b.Run("churn-rotate-48", func(b *testing.B) {
+		benchRounds(b, churnRotateSpec(), runStudy)
 	})
 	b.Run("static-long-64", func(b *testing.B) {
 		benchRounds(b, staticLongSpec(), runStudy)
@@ -115,6 +133,9 @@ func BenchmarkLifetimeLadderReference(b *testing.B) {
 	})
 	b.Run("churn-heavy-128", func(b *testing.B) {
 		benchRounds(b, benchSpec(128, 128, 1, 0.05, Static), referenceRun)
+	})
+	b.Run("churn-rotate-48", func(b *testing.B) {
+		benchRounds(b, churnRotateSpec(), referenceRun)
 	})
 	b.Run("static-long-64", func(b *testing.B) {
 		benchRounds(b, staticLongSpec(), referenceRun)

@@ -460,12 +460,16 @@ func (st *cellState) churnStep(step int) {
 	if pf == 0 && pn == 0 {
 		return
 	}
+	// One hoisted key per step: each link's draw is one absorb and an
+	// integer compare, the verdict ChurnUnit(seed, step, id) < p gives.
+	key := sim.NewChurnKey(st.cell.Seed, step)
+	fail, heal := sim.NewChurnCut(pf), sim.NewChurnCut(pn)
 	for id := range st.links {
 		if st.linkDown[id] {
-			if pn > 0 && sim.ChurnUnit(st.cell.Seed, step, int32(id)) < pn {
+			if pn > 0 && key.Fires(int32(id), heal) {
 				st.setLink(id, false)
 			}
-		} else if pf > 0 && sim.ChurnUnit(st.cell.Seed, step, int32(id)) < pf {
+		} else if pf > 0 && key.Fires(int32(id), fail) {
 			st.setLink(id, true)
 		}
 	}

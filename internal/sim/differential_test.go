@@ -50,7 +50,8 @@ func channelConfigs(t grid.Topology, src grid.Coord) map[string]sim.Config {
 // diffOne runs both engines on one configuration and requires exact
 // equality of the Results and of the trace event sequences. It also
 // runs the optimized engine twice, so a stale pooled arena or a
-// corrupted cached relay plan cannot hide behind a single lucky run.
+// corrupted cached relay plan cannot hide behind a single lucky run,
+// and a third time untraced, the order-free dedupe's path.
 func diffOne(t *testing.T, topo grid.Topology, p sim.Protocol, src grid.Coord, cfg sim.Config) {
 	t.Helper()
 	var refTrace, newTrace, repTrace []sim.Event
@@ -81,6 +82,22 @@ func diffOne(t *testing.T, topo grid.Topology, p sim.Protocol, src grid.Coord, c
 	}
 	if !reflect.DeepEqual(got, rep) || !reflect.DeepEqual(newTrace, repTrace) {
 		t.Fatalf("repeated Run on pooled engine not identical")
+	}
+	untracedMatches(t, want, topo, p, src, cfg)
+}
+
+// untracedMatches runs the optimized engine without a trace — the path
+// that dedupes a slot's transmitters without sorting them — and
+// requires the reference's Result exactly.
+func untracedMatches(t *testing.T, want *sim.Result, topo grid.Topology, p sim.Protocol, src grid.Coord, cfg sim.Config) {
+	t.Helper()
+	cfg.Trace = nil
+	got, err := sim.Run(topo, p, src, cfg)
+	if err != nil {
+		t.Fatalf("Run (untraced): %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("untraced Result differs from reference\nref: %v\nnew: %v", want, got)
 	}
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"wsnbcast/internal/grid"
@@ -88,6 +90,26 @@ var largeGridNodes = 1 << 16
 // that rewinds instead of restarting from slot 0. Nil in production;
 // the package's tests install a counter to prove resumption happens.
 var resumeHook func(S int)
+
+// frontierHook, when non-nil, makes every frontier planning round also
+// run the full uncovered scan first and hands it both injection lists.
+// Nil in production; the package's tests install a comparator to prove
+// the candidate set misses no node the full scan would plan for.
+var frontierHook func(full, frontier []injection)
+
+// donorHook, when non-nil, is called once per pickDonor call. Nil in
+// production; see SetDonorHook.
+var donorHook func()
+
+// SetDonorHook installs f as the observer of the repair planner's
+// pickDonor calls (nil removes it) and returns the observer it
+// replaced. It is a test hook: tests outside this package count
+// through it how much donor search a computation does. It must not be
+// called while broadcasts are running.
+func SetDonorHook(f func()) (old func()) {
+	old, donorHook = donorHook, f
+	return old
+}
 
 // injection is a repair transmission planned by the scheduler: node
 // transmits in the given absolute slot (provided it holds the message
@@ -237,6 +259,11 @@ func checkDownLists(t grid.Topology, cfg Config) error {
 // the earliest slot S its round's new injections occupy: slots below S
 // replay identically (see rewind), so the engine rewinds its state to
 // the top of slot S in place and drains the suffix alone.
+//
+// Likewise only the first planning round scans every uncovered node.
+// Every later one visits the frontier candidates alone (see
+// collectCandidates), which hold every node the full scan would plan
+// for, in the same ascending order.
 func (e *engine) runSchedule() error {
 	inj := e.injPlan[:0]
 	defer func() { e.injPlan = inj[:0] }() // retain grown capacity
@@ -258,9 +285,22 @@ func (e *engine) runSchedule() error {
 			return e.appendRepair()
 		}
 		newFrom := len(inj)
-		if e.planInjections(&inj) == 0 {
+		if round > 0 {
+			e.collectCandidates()
+		}
+		if round > 0 && frontierHook != nil {
+			e.planInjections(&inj, true)
+			full := slices.Clone(inj[newFrom:])
+			inj = inj[:newFrom]
+			e.planInjections(&inj, false)
+			frontierHook(full, inj[newFrom:])
+		} else {
+			e.planInjections(&inj, round == 0)
+		}
+		if len(inj) == newFrom {
 			return nil // unreached nodes are disconnected from the source
 		}
+		copy(e.prevCov, e.covered) // the frontier's snapshot, before rewind
 		resume = inj[newFrom].slot
 		for _, in := range inj[newFrom+1:] {
 			resume = min(resume, in.slot)
@@ -394,6 +434,9 @@ type engine struct {
 	planHead   []int32     // planner index: 1+round-position of the latest injection per slot
 	planPrev   []int32     // planner index: per round-position, 1+position of the previous injection at the same slot
 	dedupBits  bitset      // dedupe scratch, all-zero between calls
+	cand       bitset      // planner frontier: candidate nodes, all-zero between rounds
+	prevCov    bitset      // planner frontier: covered as the last planning round saw it
+	planned    []int32     // planner frontier: the nodes the last planning round planned for
 	traceBuf   []Event
 
 	// Rewind state (see rewind): append-only logs in slot order, popped
@@ -460,6 +503,9 @@ func (e *engine) sizeTo(v int) {
 	e.heard = e.heard[:v]
 	e.hit = e.hit[:v]
 	e.txSlots = e.txSlots[:v]
+	e.dedupBits.sizeToBits(v)
+	e.cand.sizeToBits(v)
+	e.prevCov.sizeToBits(v)
 }
 
 // neighborsOf returns node i's neighbor indices: the materialized row
@@ -823,36 +869,41 @@ func (e *engine) txAt(node int32, slot int) bool {
 }
 
 // planInjections extends inj with one repair transmission per missing
-// node, each placed at the earliest slot that (a) no other neighbor of
-// the missing node transmits in, (b) does not destroy any first decode
-// of the donor's neighbors, and (c) does not clash with repairs
-// planned in this round. Returns how many injections were added. The
-// covered bitset drives the scan: fully decoded words — the common
-// case on an almost-reached mesh — cost one compare per 64 nodes.
-func (e *engine) planInjections(inj *[]injection) int {
-	added := 0
+// node that has a donor, each placed at the earliest slot that (a) no
+// other neighbor of the missing node transmits in, (b) does not destroy
+// any first decode of the donor's neighbors, and (c) does not clash
+// with repairs planned in this round. full scans every uncovered node:
+// the covered bitset drives the scan, so fully decoded words — the
+// common case on an almost-reached mesh — cost one compare per 64
+// nodes. Otherwise it visits only the candidates collectCandidates
+// marked, clearing them as it goes. Both walk in ascending index, so
+// on equal node sets they plan the same list. The nodes planned for
+// are kept in planned for the next round's candidates.
+func (e *engine) planInjections(inj *[]injection, full bool) {
 	round := e.injRound[:0]
 	e.planPrev = e.planPrev[:0]
-	v := int32(len(e.decode))
-	for u := e.covered.nextZero(0, v); u < v; u = e.covered.nextZero(u+1, v) {
-		if e.isDown(u) {
-			continue
+	e.planned = e.planned[:0]
+	if full {
+		v := int32(len(e.decode))
+		for u := e.covered.nextZero(0, v); u < v; u = e.covered.nextZero(u+1, v) {
+			round = e.planNode(u, round)
 		}
-		donor := e.pickDonor(u)
-		if donor < 0 {
-			continue // disconnected from the decoded set
+	} else {
+		cand := e.cand
+		for w, word := range cand {
+			if word == 0 {
+				continue
+			}
+			cand[w] = 0
+			base := int32(w << 6)
+			for word != 0 {
+				u := base + int32(bits.TrailingZeros64(word))
+				word &= word - 1
+				if !e.covered.get(u) {
+					round = e.planNode(u, round)
+				}
+			}
 		}
-		slot := e.pickSlot(u, donor, round)
-		round = append(round, injection{node: donor, slot: slot})
-		// Chain the new entry into the per-slot index so later pickSlot
-		// calls consult only the injections sharing a candidate slot,
-		// not the whole round — the scan was quadratic in repair count.
-		for slot >= len(e.planHead) {
-			e.planHead = append(e.planHead, 0)
-		}
-		e.planPrev = append(e.planPrev, e.planHead[slot])
-		e.planHead[slot] = int32(len(round))
-		added++
 	}
 	// Restore the all-zero index invariant by unwinding the touched
 	// slots; a full clear would be O(maxSched) per planning round.
@@ -861,12 +912,78 @@ func (e *engine) planInjections(inj *[]injection) int {
 	}
 	e.injRound = round[:0] // retain grown capacity
 	*inj = append(*inj, round...)
-	return added
+}
+
+// planNode plans the repair of one uncovered node u, if it is live and
+// has a donor, appending the injection to this round's list.
+func (e *engine) planNode(u int32, round []injection) []injection {
+	if e.isDown(u) {
+		return round
+	}
+	donor := e.pickDonor(u)
+	if donor < 0 {
+		return round // disconnected from the decoded set
+	}
+	slot := e.pickSlot(u, donor, round)
+	round = append(round, injection{node: donor, slot: slot})
+	// Chain the new entry into the per-slot index so later pickSlot
+	// calls consult only the injections sharing a candidate slot, not
+	// the whole round — the scan was quadratic in repair count.
+	for slot >= len(e.planHead) {
+		e.planHead = append(e.planHead, 0)
+	}
+	e.planPrev = append(e.planPrev, e.planHead[slot])
+	e.planHead[slot] = int32(len(round))
+	e.planned = append(e.planned, u)
+	return round
+}
+
+// collectCandidates marks, in cand, every node a planning round after
+// the first must visit: a node is planned for iff it is uncovered, live
+// and has a decoded live neighbor, and each such node is one of
+//
+//	(a) a node the last round planned for, still uncovered;
+//	(b) a node the replay un-decoded: prevCov &^ covered;
+//	(c) an uncovered live neighbor of a node the replay newly decoded:
+//	    covered &^ prevCov.
+//
+// Completeness: take u uncovered with a decoded neighbor w. If u was
+// covered when the last round planned, it is (b). Otherwise, if w was
+// decoded then, u had a donor in that round, so that round visited and
+// planned it (by induction: the first round visits every uncovered
+// node), and it is (a). Otherwise w is newly decoded and u is (c), as
+// adjacency is symmetric. Nodes outside the set have no donor, and the
+// full scan would skip them too. The covered words are a pure function
+// of the decode state, so the snapshot and the diff cost O(N/64).
+func (e *engine) collectCandidates() {
+	cand := e.cand
+	for _, u := range e.planned {
+		cand.set(u)
+	}
+	filter := e.liveFilter()
+	for w, cur := range e.covered {
+		prev := e.prevCov[w]
+		cand[w] |= prev &^ cur
+		for gained := cur &^ prev; gained != 0; gained &= gained - 1 {
+			x := int32(w<<6 + bits.TrailingZeros64(gained))
+			for _, nb := range e.neighborsOf(x, &e.nbufA) {
+				if filter != nil && filter[nb] {
+					continue
+				}
+				if !e.covered.get(nb) {
+					cand.set(nb)
+				}
+			}
+		}
+	}
 }
 
 // pickDonor finds, deterministically, the earliest-decoded neighbor of
 // u (ties by index).
 func (e *engine) pickDonor(u int32) int32 {
+	if donorHook != nil {
+		donorHook()
+	}
 	best := int32(-1)
 	filter := e.liveFilter()
 	for _, nb := range e.neighborsOf(u, &e.nbufA) {

@@ -214,8 +214,8 @@ func (e *refEngine) drain() error {
 }
 
 // refDedupe sorts and removes duplicate transmitters using the
-// original closure-allocating sort.Slice (the optimized path uses
-// slices.Sort; see dedupe in engine.go).
+// original closure-allocating sort.Slice (the optimized engine sorts
+// through a bitset, and only when tracing; see dedupeTxs in sched.go).
 func refDedupe(txs []int32) []int32 {
 	sort.Slice(txs, func(i, j int) bool { return txs[i] < txs[j] })
 	out := txs[:0]

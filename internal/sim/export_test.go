@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"wsnbcast/internal/grid"
@@ -99,4 +100,21 @@ func RetireForTest(s *Session) (kept, uncached int) {
 		}
 	}
 	return kept, uncached
+}
+
+// CheckFrontierForTest makes every frontier planning round also run the
+// full uncovered scan and compare the two injection lists, until the
+// returned restore is called. rounds reports how many frontier rounds
+// were checked since the install and mismatches how many planned a
+// list the full scan did not. Not safe to call while Runs are in
+// flight.
+func CheckFrontierForTest() (rounds, mismatches func() int64, restore func()) {
+	var n, bad atomic.Int64
+	frontierHook = func(full, frontier []injection) {
+		n.Add(1)
+		if !slices.Equal(full, frontier) {
+			bad.Add(1)
+		}
+	}
+	return n.Load, bad.Load, func() { frontierHook = nil }
 }

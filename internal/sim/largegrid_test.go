@@ -119,7 +119,8 @@ func concurrentDiff(t *testing.T, topo grid.Topology, p sim.Protocol, src grid.C
 	}
 }
 
-// largeDiffOne checks one Run against the reference, traces included.
+// largeDiffOne checks one Run against the reference, traces included,
+// and one untraced Run, the order-free dedupe's path.
 // Unlike diffOne it skips the pooled-engine repeat and keeps failure
 // messages short: the per-node slices run to 65k entries here.
 func largeDiffOne(t *testing.T, topo grid.Topology, p sim.Protocol, src grid.Coord, cfg sim.Config) {
@@ -142,6 +143,7 @@ func largeDiffOne(t *testing.T, topo grid.Topology, p sim.Protocol, src grid.Coo
 	if !reflect.DeepEqual(refTrace, newTrace) {
 		t.Fatalf("trace differs: reference %d events, got %d", len(refTrace), len(newTrace))
 	}
+	untracedMatches(t, want, topo, p, src, cfg)
 }
 
 // TestLargeGridDifferential is the at-scale contract: on >= 2^16-node

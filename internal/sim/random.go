@@ -175,6 +175,39 @@ func ChurnUnit(seed uint64, round int, link int32) float64 {
 	return keyedUnit(seed, domainChurn, uint64(round), uint64(uint32(link)))
 }
 
+// ChurnCut is a churn probability p in the integer form ChurnKey.Fires
+// compares a draw against: the draw fires iff ChurnUnit < p.
+type ChurnCut uint64
+
+// NewChurnCut returns p's threshold. For p in (0, 1] it is unitCut(p):
+// a uniform k·2⁻⁵³ is below p iff k is below p·2⁵³'s ceiling. Rates
+// ≤ 0 give 0, which no draw is below, and rates above 1 give 2⁵³,
+// which every draw is below. NaN gives 0, because no uniform compares
+// below NaN; unitCut alone would map it to 2⁵³.
+func NewChurnCut(p float64) ChurnCut {
+	if p != p {
+		return 0
+	}
+	return ChurnCut(unitCut(p))
+}
+
+// ChurnKey is ChurnUnit's chain with its (seed, domainChurn, round)
+// prefix absorbed once, so a lifetime round's sweep over every link
+// costs one mix64 and an integer compare per link, as lossKeys does for
+// loss.
+type ChurnKey uint64
+
+// NewChurnKey absorbs the prefix shared by every link's draw in round.
+func NewChurnKey(seed uint64, round int) ChurnKey {
+	return ChurnKey(keyedUint64(seed, domainChurn, uint64(round)))
+}
+
+// Fires reports ChurnUnit(seed, round, link) < p, where cut is
+// NewChurnCut(p) and k is NewChurnKey(seed, round).
+func (k ChurnKey) Fires(link int32, cut ChurnCut) bool {
+	return absorb(uint64(k), uint64(uint32(link)))>>11 < uint64(cut)
+}
+
 // SampleFailures samples pre-broadcast node failures: every node except
 // the source fails independently with probability rate, keyed by
 // (seed, node index) so one node's fate never shifts another's draw.

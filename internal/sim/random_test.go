@@ -333,3 +333,33 @@ func FuzzLossKeyEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// FuzzChurnKeyEquivalence holds the lifetime engine's hoisted churn
+// draw to the plain form it replaces: for any seed, round, link and
+// rate — 0, 1, subnormal, negative, NaN and above 1 included — the key
+// and integer threshold must fire exactly when ChurnUnit(seed, round,
+// link) < rate.
+func FuzzChurnKeyEquivalence(f *testing.F) {
+	f.Add(uint64(42), 7, int32(3), 0.5)
+	f.Add(uint64(0), 0, int32(0), 0.0)
+	f.Add(uint64(1), 1, int32(2), 1.0)
+	f.Add(uint64(9), 100, int32(511), 5e-324)
+	f.Add(uint64(9), 3, int32(-1), math.SmallestNonzeroFloat64*(1<<40))
+	f.Add(uint64(3), 1<<40, int32(5), 1-0x1p-53)
+	f.Add(uint64(3), -2, int32(5), math.NaN())
+	f.Add(uint64(5), 12, int32(8), -0.25)
+	f.Add(uint64(5), 12, int32(8), 1.75)
+	f.Add(uint64(5), 12, int32(8), math.Inf(1))
+	// Rates on and just above a draw's own uniform: the threshold's
+	// rounding and its < are where an integer form could slip.
+	u := ChurnUnit(42, 7, 3)
+	f.Add(uint64(42), 7, int32(3), u)
+	f.Add(uint64(42), 7, int32(3), math.Nextafter(u, 1))
+	f.Fuzz(func(t *testing.T, seed uint64, round int, link int32, rate float64) {
+		u := ChurnUnit(seed, round, link)
+		want := u < rate
+		if got := NewChurnKey(seed, round).Fires(link, NewChurnCut(rate)); got != want {
+			t.Fatalf("hoisted churn verdict %v, ChurnUnit %v < rate %v is %v", got, u, rate, want)
+		}
+	})
+}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // slotQueue is a slot-indexed transmission schedule: bucket b holds
 // the nodes scheduled to transmit in absolute slot b. It replaces the
@@ -70,36 +67,30 @@ func (q *slotQueue) reset() {
 	q.hi = 0
 }
 
-// dedupe sorts and removes duplicate transmitters (a node transmits at
-// most once per slot even if scheduled twice). Buckets are usually
-// already sorted by construction — nodes decode, and therefore
-// schedule, in ascending first-hit order per slot — so the common case
-// is a single IsSorted scan; slices.Sort is the fallback and, unlike
-// the former sort.Slice, allocates no closure.
-func dedupe(txs []int32) []int32 {
-	if !slices.IsSorted(txs) {
-		slices.Sort(txs)
-	}
-	return slices.Compact(txs)
-}
-
-// dedupeTxs is the engine's dedupe: for large buckets — wide wavefront
-// slots, churn-damaged meshes with many planned repairs — it trades
-// the comparison sort for one pass through a node-indexed bitset and
-// an ascending bit extraction, which yields exactly the same
-// sorted-unique list in O(n + touched words). Small buckets keep the
-// insertion-sort path, which wins below the crossover. The scratch
-// bitset is all-zero between calls: extraction clears each word as it
-// reads it.
+// dedupeTxs drops duplicate transmitters from a slot (a node transmits
+// at most once per slot even if scheduled twice). Only the trace reads
+// the order of a slot's transmitters: counters, decode slots, txSlots
+// and rewind depend on the set alone (DESIGN §9). So an untraced run
+// drops duplicates by mark-and-compact on the node-indexed dedupBits —
+// one pass, first occurrence kept, no sort — and only a traced run
+// pays for the canonical ascending order its events must come out in:
+// one pass setting bits, then an ascending bit extraction over the
+// touched words. dedupBits is all-zero between calls on both paths.
 func (e *engine) dedupeTxs(txs []int32) []int32 {
-	const bitsetMin = 24
-	if len(txs) < bitsetMin {
-		return dedupe(txs)
-	}
-	if words := (len(e.decode) + 63) >> 6; len(e.dedupBits) < words {
-		e.dedupBits.sizeToBits(len(e.decode))
-	}
 	b := e.dedupBits
+	if e.cfg.Trace == nil {
+		out := txs[:0]
+		for _, v := range txs {
+			if !b.get(v) {
+				b.set(v)
+				out = append(out, v)
+			}
+		}
+		for _, v := range out {
+			b.unset(v)
+		}
+		return out
+	}
 	lo, hi := txs[0]>>6, txs[0]>>6
 	for _, v := range txs {
 		if w := v >> 6; w < lo {

@@ -87,10 +87,15 @@ vet:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "vet: gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-# Guard: the session-vs-sim.Run differential suites are the
-# round-persistent session's correctness contract (byte-identical
-# lifetime reports across topologies, strategies, churn and worker
-# counts, round-memo hits included, and across checkpoint resumes).
+# Guard: the session differential suites are the engine's correctness
+# contract (byte-identical lifetime reports across topologies,
+# strategies, churn and worker counts, round-memo hits included, and
+# across checkpoint resumes). sim.Run is itself a one-shot session, so
+# the suites hold each session mode to the test-only RunReference: the
+# mesh's cached rows, private rows after a failure, and the implicit
+# indexer a session reads until its first link cut, which the
+# "implicit" inputs of TestSessionDifferentialAllKinds and
+# TestSessionDifferentialChurnStorm force on small meshes.
 # If a build tag (or a rename) ever drops them from the test binaries,
 # verify fails before running anything rather than passing vacuously,
 # because the race target below is what runs them under the race
@@ -121,6 +126,10 @@ vet:
 session-guard:
 	@$(GO) test ./internal/sim -run='^$$' -list='^TestSessionDifferentialAllKinds$$' | grep -q '^TestSessionDifferentialAllKinds$$' || \
 		{ echo "verify: TestSessionDifferentialAllKinds missing from internal/sim"; exit 1; }
+	@out=$$($(GO) test ./internal/sim -run='^TestSessionDifferential(AllKinds|ChurnStorm)$$' -v); \
+		echo "$$out" | grep -q -- '--- PASS: TestSessionDifferentialAllKinds/.*/implicit ' && \
+		echo "$$out" | grep -q -- '--- PASS: TestSessionDifferentialChurnStorm/implicit ' || \
+		{ echo "verify: the implicit-mode session differentials did not pass in internal/sim"; exit 1; }
 	@$(GO) test ./internal/life -run='^$$' -list='^TestSessionDifferentialMatrix$$' | grep -q '^TestSessionDifferentialMatrix$$' || \
 		{ echo "verify: TestSessionDifferentialMatrix missing from internal/life"; exit 1; }
 	@$(GO) test ./internal/life -run='^$$' -list='^TestSessionCheckpointResumeMatchesReference$$' | grep -q '^TestSessionCheckpointResumeMatchesReference$$' || \

@@ -272,7 +272,8 @@ type ckptState struct {
 // RunCell executes one cell's round loop. ck, when non-nil, is
 // consulted for a previous checkpoint to resume from and receives a
 // fresh checkpoint every Spec.CheckpointEvery rounds; the final report
-// is byte-identical whether or not the run was interrupted.
+// is byte-identical whether or not the run was interrupted. The cell's
+// session goes back to sim's pool on every return, error or not.
 func RunCell(ctx context.Context, spec Spec, index int, ck Checkpointer) (CellReport, error) {
 	if err := spec.validate(); err != nil {
 		return CellReport{}, err
@@ -285,6 +286,7 @@ func RunCell(ctx context.Context, spec Spec, index int, ck Checkpointer) (CellRe
 	if err != nil {
 		return CellReport{}, fmt.Errorf("life: cell %d: %w", index, err)
 	}
+	defer st.sess.Release()
 	if ck != nil {
 		if raw, ok := ck.Load(); ok {
 			if err := st.restore(raw); err != nil {

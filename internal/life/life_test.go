@@ -309,6 +309,37 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	}
 }
 
+// RunCell hands its session back on every return: a finished cell, a
+// cancelled one and one whose checkpoint is rejected. Sessions are
+// counted through sim's session hook, so a cell that kept its session
+// leaves the count above 0.
+func TestRunCellReleasesSession(t *testing.T) {
+	spec := testSpec()
+	spec.CheckpointEvery = 8
+	held := 0
+	defer sim.SetSessionHook(sim.SetSessionHook(func(d int) { held += d }))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name    string
+		ctx     context.Context
+		ck      Checkpointer
+		wantErr bool
+	}{
+		{"finished", context.Background(), &memCkpt{}, false},
+		{"cancelled", cancelled, nil, true},
+		{"bad checkpoint", context.Background(), &memCkpt{loaded: []byte(`{"round": -1}`)}, true},
+	} {
+		_, err := RunCell(c.ctx, spec, 0, c.ck)
+		if (err != nil) != c.wantErr {
+			t.Fatalf("%s: error %v, want error %v", c.name, err, c.wantErr)
+		}
+		if held != 0 {
+			t.Errorf("%s: RunCell returned with %d sessions held, want 0", c.name, held)
+		}
+	}
+}
+
 // A checkpoint whose prev_source lies outside the mesh is rejected
 // like an out-of-range dead index: a negative value must not panic
 // round-robin's pickSource, and an oversized one must not silently

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -129,18 +128,19 @@ type injection struct {
 // collisions predictable, applied mechanically. Every repair
 // transmission is counted in Result.Repairs.
 //
-// Run is the optimized engine: a slot-indexed array schedule (no
-// hashing on the hot path), a pooled scratch arena reused across runs
-// and rewound — not reallocated — so each repair replay re-simulates
-// only the slots from its earliest new injection on, and a memoized
-// relay plan replacing the per-decode Protocol interface calls. Above
-// largeGridNodes (and for every Irregular mesh) it additionally drops
-// the materialized adjacency for implicit neighbor indexing
-// (grid.NeighborIndexer). The package's tests keep the original
-// implementation as a frozen oracle and prove every path produces
-// byte-identical Results against it.
+// Run is a one-shot Session: it takes a session (pooled on regular
+// meshes below largeGridNodes), applies Config.Down and
+// Config.DownLinks to it, runs the schedule on the pooled engine — a
+// slot-indexed array schedule, a scratch arena rewound rather than
+// reallocated between repair replays, a memoized relay plan — and
+// releases it. The Result owns its memory outright, down mask
+// included. The package's tests keep the original implementation as a
+// frozen oracle and prove every path byte-identical against it.
 func Run(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*Result, error) {
-	e, err := runLoop(t, p, src, cfg)
+	s, e, err := oneShot(t, p, src, cfg)
+	if s != nil {
+		defer s.Release()
+	}
 	if e != nil {
 		defer e.release()
 	}
@@ -152,106 +152,25 @@ func Run(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*Result, erro
 	return res, nil
 }
 
-// runLoop validates the inputs, selects the neighbor source, and
-// drives the schedule/repair loop to completion on a pooled engine.
-// The caller owns the returned engine (finish/flushTrace/release);
-// it is non-nil whenever an engine was bound, error or not.
-func runLoop(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*engine, error) {
+// oneShot binds a one-shot broadcast: it checks the source first, as
+// sim.Run always has, takes a session bound to (t, p, cfg) and runs
+// the schedule from src on it. The caller releases the returned engine
+// and session, each non-nil whenever it was bound, error or not.
+func oneShot(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*Session, *engine, error) {
 	if !t.Contains(src) {
-		return nil, fmt.Errorf("sim: source %s outside %s mesh", src, t.Kind())
+		return nil, nil, fmt.Errorf("sim: source %s outside %s mesh", src, t.Kind())
 	}
-	cfg = cfg.withDefaults(t.NumNodes())
-	if err := cfg.Packet.Validate(); err != nil {
-		return nil, err
+	s, err := NewSession(t, p, cfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	if cfg.MaxSlots >= math.MaxInt32 {
-		// Slot state is int32 (struct-of-arrays arena); a schedule this
-		// long could not be drained slot-by-slot anyway.
-		return nil, fmt.Errorf("sim: MaxSlots %d exceeds the engine's int32 slot limit", cfg.MaxSlots)
-	}
-	if err := checkDownLists(t, cfg); err != nil {
-		return nil, err
-	}
-	var down []bool
-	if len(cfg.Down) > 0 {
-		down = make([]bool, t.NumNodes())
-		for _, c := range cfg.Down {
-			down[t.Index(c)] = true
-		}
-		if down[t.Index(src)] {
-			return nil, fmt.Errorf("sim: source %s is down", src)
-		}
-	}
-
-	// Neighbor source selection. Irregular meshes always go through
-	// their own NeighborIndexer (the instance's adjacency is built once
-	// at construction — nothing to rebuild or memoize per Run); regular
-	// meshes up to largeGridNodes keep the cached materialized lists
-	// (small, warm, and pruned copies are cheap under node failures);
-	// everything larger iterates implicitly so steady-state engine
-	// state is O(N) words + O(N) bits with no O(N*deg) table anywhere.
-	var ix grid.NeighborIndexer
-	var adj [][]int32
-	if gix, ok := t.(grid.NeighborIndexer); ok && len(cfg.DownLinks) == 0 &&
-		(t.Kind() == grid.Irregular || t.NumNodes() >= largeGridNodes) {
-		ix = gix
-	} else {
-		// Link churn forces this materialized branch even on large and
-		// Irregular meshes: implicit neighbor arithmetic cannot express a
-		// graph with individual links missing, and the repair planner must
-		// see the true round topology.
-		adj = buildAdjacency(t, down != nil || len(cfg.DownLinks) > 0)
-		if down != nil {
-			// Remove the down nodes from the radio graph entirely (adj is a
-			// private copy when down != nil).
-			for i := range adj {
-				if down[i] {
-					adj[i] = nil
-					continue
-				}
-				kept := adj[i][:0]
-				for _, nb := range adj[i] {
-					if !down[nb] {
-						kept = append(kept, nb)
-					}
-				}
-				adj[i] = kept
-			}
-		}
-		for _, lk := range cfg.DownLinks {
-			a, b := int32(t.Index(lk.A)), int32(t.Index(lk.B))
-			adj[a] = removeNeighbor(adj[a], b)
-			adj[b] = removeNeighbor(adj[b], a)
-		}
-	}
-
-	e := getEngine(t, p, planFor(t, p, src), src, cfg, ix, adj, down)
-	return e, e.runSchedule()
-}
-
-// checkDownLists checks that every Config.Down node and then every
-// Config.DownLinks endpoint lies in t's mesh. sim.Run and NewSession
-// both check through it, so a bad list fails either with the same
-// error; a down source is the caller's check, made once the source is
-// known.
-func checkDownLists(t grid.Topology, cfg Config) error {
-	for _, c := range cfg.Down {
-		if !t.Contains(c) {
-			return fmt.Errorf("sim: down node %s outside mesh", c)
-		}
-	}
-	for _, lk := range cfg.DownLinks {
-		if !t.Contains(lk.A) || !t.Contains(lk.B) {
-			return fmt.Errorf("sim: down link %s-%s outside %s mesh", lk.A, lk.B, t.Kind())
-		}
-	}
-	return nil
+	e, err := s.start(src, false)
+	return s, e, err
 }
 
 // runSchedule drives the schedule/repair loop to completion on a bound
 // engine: replay the schedule, plan repair injections for unreached
-// nodes, iterate to a fixpoint. Shared verbatim by sim.Run and the
-// round-persistent Session. The injection lists live in the pooled
+// nodes, iterate to a fixpoint. The injection lists live in the pooled
 // arena (injPlan), so a steady-state schedule with no repairs plans
 // with zero allocations.
 //
@@ -308,87 +227,6 @@ func (e *engine) runSchedule() error {
 	}
 }
 
-// adjCache memoizes dense adjacency for the regular topologies, which
-// are value types fully determined by (kind, size) — a full source
-// sweep would otherwise rebuild the same lists once per source. Only
-// meshes below largeGridNodes are cached: above that the optimized
-// engine iterates implicitly and never asks, and pinning multi-MiB
-// lists per (kind, size) forever would let a handful of large oracle
-// runs hold hundreds of MiB.
-var adjCache sync.Map // adjKey -> [][]int32
-
-type adjKey struct {
-	kind    grid.Kind
-	m, n, l int
-}
-
-// buildAdjacency returns dense neighbor lists, cached for the regular
-// topologies below the large-grid threshold. Callers treat the result
-// as read-only except when they need to mutate it (node failures), in
-// which case they must pass mutable=true to get a private copy — taken
-// from the cached entry (populating it on first use) rather than
-// rebuilt from the topology.
-func buildAdjacency(t grid.Topology, mutable bool) [][]int32 {
-	if t.Kind() == grid.Irregular || t.NumNodes() >= largeGridNodes {
-		return buildAdjacencyUncached(t)
-	}
-	m, n, l := t.Size()
-	key := adjKey{t.Kind(), m, n, l}
-	v, ok := adjCache.Load(key)
-	if !ok {
-		// Concurrent first access may build twice; LoadOrStore keeps one.
-		v, _ = adjCache.LoadOrStore(key, buildAdjacencyUncached(t))
-	}
-	adj := v.([][]int32)
-	if !mutable {
-		return adj
-	}
-	return copyAdjacency(adj)
-}
-
-func buildAdjacencyUncached(t grid.Topology) [][]int32 {
-	v := t.NumNodes()
-	adj := make([][]int32, v)
-	var buf []int32
-	for i := 0; i < v; i++ {
-		buf = grid.IndexNeighbors(t, i, buf[:0])
-		row := make([]int32, len(buf))
-		copy(row, buf)
-		adj[i] = row
-	}
-	return adj
-}
-
-// removeNeighbor deletes nb from a private adjacency row in place,
-// preserving order. A row that does not list nb — a non-adjacent
-// DownLinks pair, or a row already nil'd by node failure — comes back
-// unchanged.
-func removeNeighbor(row []int32, nb int32) []int32 {
-	for i, v := range row {
-		if v == nb {
-			return append(row[:i], row[i+1:]...)
-		}
-	}
-	return row
-}
-
-// copyAdjacency deep-copies neighbor lists into one flat backing array
-// (two allocations regardless of node count). Rows are capacity-capped
-// so in-place pruning of one row cannot clobber the next.
-func copyAdjacency(adj [][]int32) [][]int32 {
-	total := 0
-	for _, row := range adj {
-		total += len(row)
-	}
-	flat := make([]int32, 0, total)
-	out := make([][]int32, len(adj))
-	for i, row := range adj {
-		flat = append(flat, row...)
-		out[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
-	}
-	return out
-}
-
 // engine holds the mutable state of one schedule replay. Engines are
 // pooled (enginePool): all scratch state — the struct-of-arrays
 // decode/heard/hit vectors, the covered bitset, per-node transmission
@@ -407,8 +245,8 @@ type engine struct {
 	srcIdx int32
 	cfg    Config
 	ix     grid.NeighborIndexer // implicit neighbor source (large grids, Irregular)
-	nbr    [][]int32            // materialized adjacency (small grids; down nodes removed)
-	down   []bool               // failed-node mask (nil when none); escapes into the Result
+	nbr    [][]int32            // materialized rows when ix is nil (down nodes removed)
+	down   []bool               // failed-node mask (nil when none), the session's
 	downN  int                  // number of failed nodes
 	loss   lossKeys             // cfg.Channel with its (Seed, domainLoss) prefix absorbed
 
@@ -453,7 +291,7 @@ type engine struct {
 
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
-// getEngine binds a pooled engine to one Run.
+// getEngine binds a pooled engine to one broadcast.
 func getEngine(t grid.Topology, p Protocol, plan *relayPlan, src grid.Coord, cfg Config, ix grid.NeighborIndexer, adj [][]int32, down []bool) *engine {
 	e := enginePool.Get().(*engine)
 	e.topo = t
@@ -509,9 +347,8 @@ func (e *engine) sizeTo(v int) {
 }
 
 // neighborsOf returns node i's neighbor indices: the materialized row
-// on the small-grid path (already pruned of down nodes), or an
-// implicit emission into *buf on the large-grid path (caller filters
-// down nodes, see liveFilter). The returned slice is valid until the
+// (already pruned of down nodes), or an implicit emission into *buf
+// from the indexer (caller filters down nodes, see liveFilter). The returned slice is valid until the
 // next call with the same buf.
 func (e *engine) neighborsOf(i int32, buf *[]int32) []int32 {
 	if e.ix != nil {
@@ -523,8 +360,8 @@ func (e *engine) neighborsOf(i int32, buf *[]int32) []int32 {
 }
 
 // liveFilter returns the down mask consumers must filter against, or
-// nil when no filtering is needed: the materialized path prunes down
-// nodes out of the lists up front, the implicit path skips them at
+// nil when no filtering is needed: a session prunes down nodes out of
+// materialized rows as they fail, the implicit path skips them at
 // iteration time.
 func (e *engine) liveFilter() []bool {
 	if e.ix != nil {
@@ -1099,10 +936,10 @@ func (e *engine) appendRepair() error {
 }
 
 // resultArena holds the backing arrays of the slices a Result carries
-// out of the engine. sim.Run hands finishInto an empty arena, so every
-// array is freshly allocated and the Result owns its memory outright;
-// a Session passes its persistent arena, so steady-state rounds write
-// the same backing arrays in place and allocate nothing.
+// out of the engine. Session.Run passes its persistent arena, so
+// steady-state rounds write the same backing arrays in place and
+// allocate nothing; sim.Run's one-shot session is released before its
+// Result is read, so finish hands finishInto an empty arena instead.
 type resultArena struct {
 	energy  []float64
 	txSlots [][]int
@@ -1110,12 +947,15 @@ type resultArena struct {
 	decode  []int
 }
 
-// finish computes the derived metrics into a fresh Result. Only what
-// escapes is allocated: the Result itself, the widened DecodeSlot
-// copy, the TxSlots headers plus one flat backing array, and
-// PerNodeEnergyJ — the arena stays with the pooled engine.
+// finish computes the derived metrics into a fresh Result that owns
+// its memory. Only what escapes is allocated: the Result itself, the
+// widened DecodeSlot copy, the TxSlots headers plus one flat backing
+// array, PerNodeEnergyJ, and a copy of the down mask, which is the
+// session's and is reused once the session is released.
 func (e *engine) finish() *Result {
-	return e.finishInto(new(Result), &resultArena{})
+	r := e.finishInto(new(Result), &resultArena{})
+	r.downMask = slices.Clone(r.downMask)
+	return r
 }
 
 // finishInto is finish parameterized over the Result and the backing

@@ -28,8 +28,23 @@ func SetLargeGridThresholdForTest(n int) (restore func()) {
 // t's (kind, size) — the large-grid tests assert it stays absent.
 func AdjCacheHas(t grid.Topology) bool {
 	m, n, l := t.Size()
-	_, ok := adjCache.Load(adjKey{t.Kind(), m, n, l})
+	_, ok := meshes.Load(meshKey{t.Kind(), m, n, l})
 	return ok
+}
+
+// buildAdjacency returns t's pristine neighbor rows for the reference
+// engine: the mesh's shared cached rows where meshSource keeps them,
+// else a fresh build. mutable=true returns a private copy the caller
+// may prune.
+func buildAdjacency(t grid.Topology, mutable bool) [][]int32 {
+	mesh, _ := meshSource(t)
+	if mesh == nil {
+		return buildAdjacencyUncached(t)
+	}
+	if mutable {
+		return copyAdjacency(mesh.rows)
+	}
+	return mesh.rows
 }
 
 // PlanCacheHas reports whether the unbounded small-grid plan cache
@@ -41,15 +56,19 @@ func PlanCacheHas(t grid.Topology, p Protocol, src grid.Coord) bool {
 	return ok
 }
 
-// RunLoopForBenchmark drives the full schedule/repair loop but skips
-// Result assembly, isolating the engine's steady-state allocation: the
-// per-node DecodeSlot/TxSlots/PerNodeEnergyJ arrays a real Run must
-// hand to the caller dominate whole-Run B/op at large N and would mask
-// the arena's O(N)-bit claim.
+// RunLoopForBenchmark binds a one-shot session as Run does and drives
+// its schedule/repair loop, but skips Result assembly, isolating the
+// engine's steady-state allocation: the per-node
+// DecodeSlot/TxSlots/PerNodeEnergyJ arrays a real Run must hand to the
+// caller dominate whole-Run B/op at large N and would mask the arena's
+// O(N)-bit claim.
 func RunLoopForBenchmark(t grid.Topology, p Protocol, src grid.Coord, cfg Config) error {
-	e, err := runLoop(t, p, src, cfg)
+	s, e, err := oneShot(t, p, src, cfg)
 	if e != nil {
 		e.release()
+	}
+	if s != nil {
+		s.Release()
 	}
 	return err
 }
@@ -81,10 +100,14 @@ func ReuseSessionForTest(s *Session, p Protocol, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, pool := s.topo, s.pool
+	t := s.topo
 	s.retire()
-	return s.bind(t, p, cfg, pool), nil
+	return s.bind(t, p, cfg, s.mesh, s.ix), nil
 }
+
+// SessionOwnsRowsForTest reports whether s holds private rows rather
+// than reading its mesh's shared neighbor source.
+func SessionOwnsRowsForTest(s *Session) bool { return s.own }
 
 // RetireForTest releases s as Release does, but keeps it out of the
 // pool, and reports how many per-source plans it kept and how many of

@@ -10,6 +10,7 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -262,5 +263,37 @@ func TestLargeGridAllocBudget(t *testing.T) {
 	})
 	if allocs > 12 {
 		t.Errorf("256^2 mesh: %.1f allocs per steady-state Run, budget is 12", allocs)
+	}
+}
+
+// A session on a mesh of largeGridNodes or more reads the implicit
+// indexer until a mutation needs private rows, and a node failure does
+// not: it is a bit of the down mask. So NewSession plus 100
+// SetNodeDown on 2D-8 256^2 stays under 1 MiB and 100 objects, where
+// a pristine plus a live adjacency would take ~7 MiB in ~65k
+// allocations.
+func TestLargeGridSessionNodeDownStaysImplicit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector allocates for instrumentation; budget holds only in normal builds")
+	}
+	topo := grid.NewMesh2D8(256, 256)
+	p := core.ForTopology(grid.Mesh2D8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sess, err := sim.NewSession(topo, p, sim.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := sess.SetNodeDown(i * 601); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	defer sess.Release()
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("NewSession plus 100 SetNodeDown: %d B in %d objects", bytes, objects)
+	if bytes >= 1<<20 || objects >= 100 {
+		t.Errorf("NewSession plus 100 SetNodeDown allocate %d B in %d objects, budget is under 1 MiB and 100", bytes, objects)
 	}
 }

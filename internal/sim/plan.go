@@ -17,7 +17,7 @@ import (
 // and whatever slice Retransmits allocates — into array lookups. A
 // plan is built once per Run and, for cacheable keys, shared read-only
 // across every Run of the same (kind, size, protocol, source), exactly
-// like adjCache shares adjacency: across the thousands of runs of a
+// like the meshes map shares rows: across the thousands of runs of a
 // sweep or a Monte Carlo grid the rules are compiled exactly once.
 type relayPlan struct {
 	relay bitset
@@ -66,7 +66,7 @@ type planKey struct {
 	proto   Protocol
 }
 
-// planCache memoizes compiled relay plans, keyed like adjCache. Only
+// planCache memoizes compiled relay plans, keyed like meshes. Only
 // regular topologies qualify (an Irregular mesh is not determined by
 // its kind and size), and only protocols whose dynamic type is a
 // comparable non-pointer value: comparability is required to form the

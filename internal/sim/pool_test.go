@@ -138,6 +138,47 @@ func comparePooled(t *testing.T, label string, got *sim.Result, gotTrace []sim.E
 	}
 }
 
+// A Result from sim.Run owns its memory, down mask included: a later
+// sim.Run and a NewSession on the same mesh, which take the released
+// session back and fail other nodes on it, leave the first Result's
+// IsDown, DecodeSlot and TxSlots as they were.
+func TestPooledRunResultOwnership(t *testing.T) {
+	topo := grid.NewMesh2D4(9, 7)
+	p := core.ForTopology(grid.Mesh2D4)
+	v := topo.NumNodes()
+	res, err := sim.Run(topo, p, topo.At(v/2), sim.Config{Down: []grid.Coord{topo.At(3), topo.At(20)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustResultJSON(t, res)
+	wantDown := make([]bool, v)
+	for i := range wantDown {
+		wantDown[i] = res.IsDown(i)
+	}
+	if _, err := sim.Run(topo, p, topo.At(1), sim.Config{Down: []grid.Coord{topo.At(5), topo.At(40)}}); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := sim.NewSession(topo, p, sim.Config{Down: []grid.Coord{topo.At(7)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.SetNodeDown(11); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Run(topo.At(2)); err != nil {
+		t.Fatal(err)
+	}
+	sess.Release()
+	if got := mustResultJSON(t, res); !bytes.Equal(got, want) {
+		t.Fatalf("a later run on the mesh changed an earlier sim.Run Result:\n got %s\nwant %s", got, want)
+	}
+	for i, d := range wantDown {
+		if res.IsDown(i) != d {
+			t.Fatalf("IsDown(%d) = %v after a later run on the mesh, was %v", i, res.IsDown(i), d)
+		}
+	}
+}
+
 // Construction-time lists no run can honour fail with sim.Run's error,
 // in sim.Run's order, whether the session is new or a reused one; a
 // down source is accepted at construction and fails at Run, as sim.Run

@@ -36,53 +36,49 @@ func LinksOf(t grid.Topology) []IndexLink {
 
 // A Session is a round-persistent simulation context: one (topology,
 // protocol, config) binding whose radio graph survives across Run
-// calls and is mutated incrementally. Where sim.Run pays a full
-// mutable-adjacency rebuild plus Coord round-trips for Down/DownLinks
-// on every call, a Session applies each state change exactly once, in
-// dense-index space, when it happens:
+// calls and is mutated incrementally, and the only place a broadcast
+// is bound (sim.Run is a one-shot session). Each state change is
+// applied once, in dense-index space, when it happens: SetNodeDown
+// splices the node out of its neighbors' rows (O(deg²)), SetLinkDown /
+// SetLinkUp edit the two endpoint rows, compiled relay plans are cached
+// per source (a plan is a pure function of (topology, protocol,
+// source), so mutations never invalidate one), and the Result's slices
+// live in a session-owned arena rewritten in place each Run.
 //
-//   - SetNodeDown empties the node's row and splices it out of its
-//     neighbors' rows — O(deg²), not O(V·deg) — and SetNodeUp
-//     refilters the same rows back;
-//   - SetLinkDown / SetLinkUp edit exactly the two endpoint rows;
-//   - compiled relay plans are cached per source for the session's
-//     lifetime (a plan is a pure function of (topology, protocol,
-//     source) — the Protocol contract — so graph mutations never
-//     invalidate one);
-//   - the Result's slices live in a session-owned arena, rewritten in
-//     place each Run.
+// A session keeps no rows of its own until a mutation needs them. It
+// reads the shared source meshSource picks — the mesh's cached
+// pristine rows, or the NeighborIndexer of Irregular and large meshes,
+// where a failed node is only a bit of the down mask the engine
+// filters against (liveFilter). The first mutation the shared source
+// cannot express — any failure on cached rows, a link cut on an
+// indexer — copies the pristine rows into private ones: capacity-capped
+// views of one flat array, emptied, spliced and refilled in place, so
+// no later mutation allocates. Reset returns to the shared source.
 //
-// The live adjacency invariant — every live node's row equals its
-// pristine row filtered by (neighbor alive && link up), order
-// preserved — is exactly the row sim.Run constructs from equivalent
-// Down/DownLinks lists, which is why session results are
-// byte-identical to the one-shot path (locked by the differential
-// tests).
+// Every live row equals its pristine row filtered by (neighbor alive
+// && link up), order preserved: the graph the frozen reference engine
+// prunes from equivalent Down lists, which is why every session mode is
+// byte-identical to it (locked by the differential tests).
 //
-// Every live row is a capacity-capped view of one flat backing array
-// whose capacity is the pristine row length, so a row is emptied,
-// spliced and refilled in place and no mutation — Reset included —
-// allocates.
-//
-// Sessions of regular meshes below largeGridNodes are pooled per
-// (kind, size): Release hands a session back, and the next NewSession
-// on the same mesh rebinds it instead of building one (see
-// sessionPool).
-//
-// The returned Result and its slices are valid until the next Run,
-// Reset, mutation or Release on the same session. A Session is not
-// safe for concurrent use.
+// Sessions of regular meshes below largeGridNodes are pooled per mesh
+// (see meshes). The returned Result and its slices are valid until the
+// next Run, Reset, mutation or Release on the same session. A Session
+// is not safe for concurrent use.
 type Session struct {
 	topo  grid.Topology
 	proto Protocol
 	cfg   Config // defaults applied once at NewSession; Down and DownLinks cleared
 	v     int
 
-	pool *sync.Pool // where Release puts the session; nil: not pooled
+	mesh *meshEntry // the mesh's shared rows and session pool; nil: not pooled
 	held bool       // between NewSession and Release
 
-	full [][]int32 // pristine adjacency, never mutated (may be cache-shared)
-	adj  [][]int32 // live adjacency: private rows (cap = pristine length), mutated in place
+	// The neighbor source. Until own is set the live graph is the shared
+	// one: full, or ix filtered by the down mask when ix is set.
+	ix   grid.NeighborIndexer // implicit rows of Irregular and large meshes
+	full [][]int32            // pristine rows: the mesh's cached rows, else built on first need
+	adj  [][]int32            // private live rows (cap = pristine length), kept across Reset and reuse
+	own  bool                 // adj holds the live graph
 
 	down  []bool // failed-node mask, allocated on first SetNodeDown
 	downN int
@@ -96,35 +92,96 @@ type Session struct {
 	linkDown []bool
 	rowLink  [][]int32
 
-	plans map[int32]*relayPlan // per-source compiled plans, session-cached
+	plans map[int32]*relayPlan // per-source compiled plans of Run, allocated on first use
 
 	res   Result
 	arena resultArena
 }
 
-// sessionPools holds released sessions, one sync.Pool per regular
-// mesh below largeGridNodes, keyed like adjCache. A pooled session
-// keeps what is a pure function of its mesh — the live adjacency copy,
-// the link table, the down mask and the Result arena — so the next
-// session on that mesh is built without allocating. An idle session
-// goes away at GC like any pooled object, so nothing retained grows
-// with the number of sessions ever built.
-var sessionPools sync.Map // adjKey -> *sync.Pool
+// meshes holds one entry per regular mesh below largeGridNodes, keyed
+// by (kind, size): its pristine rows, built once and read by every
+// session on the mesh, and the pool of its released sessions. A pooled
+// session keeps what is a pure function of its mesh — private rows,
+// link table, down mask, Result arena — so the next session on that
+// mesh is built without allocating; an idle one goes away at GC.
+// Irregular meshes get no entry (kind and size do not determine them),
+// nor do larger ones: pinning multi-MiB rows per size forever would
+// let a handful of large runs hold hundreds of MiB.
+var meshes sync.Map // meshKey -> *meshEntry
 
-// sessionPool returns t's session pool, or nil when t's sessions are
-// not pooled (Irregular meshes, and meshes of largeGridNodes or more,
-// whose adjacency is not cached either).
-func sessionPool(t grid.Topology) *sync.Pool {
+type meshKey struct {
+	kind    grid.Kind
+	m, n, l int
+}
+
+type meshEntry struct {
+	rows [][]int32
+	pool sync.Pool
+}
+
+// meshSource decides t's neighbor source: the shared entry of a
+// regular mesh below largeGridNodes, or else t's NeighborIndexer.
+// Irregular meshes serve their build-once adjacency through the
+// indexer, and larger meshes iterate implicitly, so steady-state
+// engine state is O(N) words + O(N) bits with no O(N*deg) table
+// anywhere. Every grid topology is a NeighborIndexer.
+func meshSource(t grid.Topology) (*meshEntry, grid.NeighborIndexer) {
 	if t.Kind() == grid.Irregular || t.NumNodes() >= largeGridNodes {
-		return nil
+		return nil, t.(grid.NeighborIndexer)
 	}
 	m, n, l := t.Size()
-	key := adjKey{t.Kind(), m, n, l}
-	v, ok := sessionPools.Load(key)
+	key := meshKey{t.Kind(), m, n, l}
+	v, ok := meshes.Load(key)
 	if !ok {
-		v, _ = sessionPools.LoadOrStore(key, new(sync.Pool))
+		// Concurrent first access may build twice; LoadOrStore keeps one.
+		v, _ = meshes.LoadOrStore(key, &meshEntry{rows: buildAdjacencyUncached(t)})
 	}
-	return v.(*sync.Pool)
+	return v.(*meshEntry), nil
+}
+
+// buildAdjacencyUncached builds t's pristine neighbor rows, one
+// allocation per row.
+func buildAdjacencyUncached(t grid.Topology) [][]int32 {
+	v := t.NumNodes()
+	adj := make([][]int32, v)
+	var buf []int32
+	for i := 0; i < v; i++ {
+		buf = grid.IndexNeighbors(t, i, buf[:0])
+		row := make([]int32, len(buf))
+		copy(row, buf)
+		adj[i] = row
+	}
+	return adj
+}
+
+// removeNeighbor deletes nb from a private adjacency row in place,
+// preserving order. A row that does not list nb — a non-adjacent
+// DownLinks pair, or a row already emptied by node failure — comes
+// back unchanged.
+func removeNeighbor(row []int32, nb int32) []int32 {
+	for i, v := range row {
+		if v == nb {
+			return append(row[:i], row[i+1:]...)
+		}
+	}
+	return row
+}
+
+// copyAdjacency deep-copies neighbor lists into one flat backing array
+// (two allocations regardless of node count). Rows are capacity-capped
+// so in-place pruning of one row cannot clobber the next.
+func copyAdjacency(adj [][]int32) [][]int32 {
+	total := 0
+	for _, row := range adj {
+		total += len(row)
+	}
+	flat := make([]int32, 0, total)
+	out := make([][]int32, len(adj))
+	for i, row := range adj {
+		flat = append(flat, row...)
+		out[i] = flat[len(flat)-len(row) : len(flat) : len(flat)]
+	}
+	return out
 }
 
 // sessionHook, when non-nil, is called with +1 by every NewSession and
@@ -144,26 +201,28 @@ func SetSessionHook(f func(delta int)) (old func(delta int)) {
 
 // NewSession validates the configuration once and binds it to a
 // session: a released one of the same mesh when its pool holds one,
-// else a new one with its own live adjacency. Config.Down and
-// Config.DownLinks become the session's initial node and link state,
-// checked with sim.Run's errors (checkDownLists); from then on the
-// session owns that state through SetNodeDown / SetLinkDown, and Reset
-// revives them too. A down source fails at Run, as it does in sim.Run.
+// else a new one. Config.Down and Config.DownLinks become the
+// session's initial node and link state, checked by sessionConfig;
+// from then on the session owns that state through
+// SetNodeDown / SetLinkDown, and Reset revives them too. A down source
+// fails at Run, as it does in sim.Run.
 func NewSession(t grid.Topology, p Protocol, cfg Config) (*Session, error) {
 	cfg, err := sessionConfig(t, p, cfg)
 	if err != nil {
 		return nil, err
 	}
-	pool := sessionPool(t)
+	mesh, ix := meshSource(t)
 	var s *Session
-	if pool != nil {
-		s, _ = pool.Get().(*Session)
+	if mesh != nil {
+		s, _ = mesh.pool.Get().(*Session)
 	}
-	return s.bind(t, p, cfg, pool), nil
+	return s.bind(t, p, cfg, mesh, ix), nil
 }
 
 // sessionConfig validates a session's inputs, in sim.Run's order, and
-// returns cfg with its defaults applied.
+// returns cfg with its defaults applied. Every Config.Down node and
+// then every Config.DownLinks endpoint must lie in t's mesh; a down
+// source is Run's check, made once the source is known.
 func sessionConfig(t grid.Topology, p Protocol, cfg Config) (Config, error) {
 	if t == nil || p == nil {
 		return cfg, fmt.Errorf("sim: session needs a topology and a protocol")
@@ -173,9 +232,21 @@ func sessionConfig(t grid.Topology, p Protocol, cfg Config) (Config, error) {
 		return cfg, err
 	}
 	if cfg.MaxSlots >= math.MaxInt32 {
+		// Slot state is int32 (struct-of-arrays arena); a schedule this
+		// long could not be drained slot-by-slot anyway.
 		return cfg, fmt.Errorf("sim: MaxSlots %d exceeds the engine's int32 slot limit", cfg.MaxSlots)
 	}
-	return cfg, checkDownLists(t, cfg)
+	for _, c := range cfg.Down {
+		if !t.Contains(c) {
+			return cfg, fmt.Errorf("sim: down node %s outside mesh", c)
+		}
+	}
+	for _, lk := range cfg.DownLinks {
+		if !t.Contains(lk.A) || !t.Contains(lk.B) {
+			return cfg, fmt.Errorf("sim: down link %s-%s outside %s mesh", lk.A, lk.B, t.Kind())
+		}
+	}
+	return cfg, nil
 }
 
 // bind binds a validated (t, p, cfg) to s, a released session of t's
@@ -183,14 +254,12 @@ func sessionConfig(t grid.Topology, p Protocol, cfg Config) (Config, error) {
 // reset; its per-source plans are kept only when p is the same
 // plan-cacheable value they were compiled for, so every kept plan is
 // one planCache also holds.
-func (s *Session) bind(t grid.Topology, p Protocol, cfg Config, pool *sync.Pool) *Session {
+func (s *Session) bind(t grid.Topology, p Protocol, cfg Config, mesh *meshEntry, ix grid.NeighborIndexer) *Session {
 	if s == nil {
-		s = &Session{
-			v:     t.NumNodes(),
-			full:  buildAdjacency(t, false),
-			plans: make(map[int32]*relayPlan),
+		s = &Session{v: t.NumNodes(), mesh: mesh, ix: ix}
+		if mesh != nil {
+			s.full = mesh.rows
 		}
-		s.adj = copyAdjacency(s.full)
 	} else {
 		s.Reset()
 		// planCacheable(p) first: comparing two values of one
@@ -199,9 +268,9 @@ func (s *Session) bind(t grid.Topology, p Protocol, cfg Config, pool *sync.Pool)
 			clear(s.plans)
 		}
 	}
-	s.topo, s.proto, s.pool, s.held = t, p, pool, true
+	s.topo, s.proto, s.held = t, p, true
 	for _, c := range cfg.Down {
-		_ = s.SetNodeDown(t.Index(c)) // in the mesh: checkDownLists
+		_ = s.SetNodeDown(t.Index(c)) // in the mesh: sessionConfig
 	}
 	for _, lk := range cfg.DownLinks {
 		s.cutLink(int32(t.Index(lk.A)), int32(t.Index(lk.B)))
@@ -225,8 +294,8 @@ func (s *Session) Release() {
 		return
 	}
 	s.retire()
-	if s.pool != nil {
-		s.pool.Put(s)
+	if s.mesh != nil {
+		s.mesh.pool.Put(s)
 	}
 }
 
@@ -271,9 +340,9 @@ func (s *Session) LinkDown(id int) bool {
 
 // SetNodeDown fails the node at dense index i: it is spliced out of
 // its neighbors' rows (O(deg²)) and its own row is emptied, exactly
-// the graph sim.Run builds for a Config.Down entry. Idempotent;
-// SetNodeUp or Reset revives the node. The splice walks the pristine
-// row, so links already cut by SetLinkDown are simply no-ops.
+// the graph the reference engine prunes for a Config.Down entry. On an
+// indexer the down mask alone fails it. Idempotent; SetNodeUp or Reset
+// revives the node.
 func (s *Session) SetNodeDown(i int) error {
 	if i < 0 || i >= s.v {
 		return fmt.Errorf("sim: node index %d outside %d-node mesh", i, s.v)
@@ -284,21 +353,33 @@ func (s *Session) SetNodeDown(i int) error {
 	if s.down[i] {
 		return nil
 	}
+	if s.ix == nil {
+		s.materialize() // the cached rows are shared: never splice them
+	}
 	s.down[i] = true
 	s.downN++
+	if s.own {
+		s.splice(int32(i))
+	}
+	return nil
+}
+
+// splice removes failed node i from the private rows: out of each
+// neighbor's row, and its own row emptied. It walks the pristine row,
+// so links already cut by SetLinkDown are simply no-ops.
+func (s *Session) splice(i int32) {
 	for _, nb := range s.full[i] {
-		s.adj[nb] = removeNeighbor(s.adj[nb], int32(i))
+		s.adj[nb] = removeNeighbor(s.adj[nb], i)
 	}
 	s.adj[i] = s.adj[i][:0]
-	return nil
 }
 
 // SetNodeUp revives the node at dense index i, the inverse of
 // SetNodeDown: each live neighbor's row and its own row are refiltered
 // from the pristine rows against the current node and link state, the
 // way SetLinkUp rebuilds its endpoints — O(deg²), allocation-free, and
-// order-preserving, so the graph equals the one sim.Run builds for the
-// remaining Down list. Idempotent.
+// order-preserving, so the graph equals the one the remaining failures
+// define. Idempotent.
 func (s *Session) SetNodeUp(i int) error {
 	if i < 0 || i >= s.v {
 		return fmt.Errorf("sim: node index %d outside %d-node mesh", i, s.v)
@@ -308,10 +389,12 @@ func (s *Session) SetNodeUp(i int) error {
 	}
 	s.down[i] = false
 	s.downN--
-	for _, nb := range s.full[i] {
-		s.rebuildRow(nb)
+	if s.own {
+		for _, nb := range s.full[i] {
+			s.rebuildRow(nb)
+		}
+		s.rebuildRow(int32(i))
 	}
-	s.rebuildRow(int32(i))
 	return nil
 }
 
@@ -321,7 +404,8 @@ func (s *Session) SetNodeUp(i int) error {
 func (s *Session) SetChannel(ch BernoulliLoss) { s.cfg.Channel = ch }
 
 // SetLinkDown cuts link id (a LinksOf index): both directions leave
-// the radio graph by editing exactly the two endpoint rows. Idempotent.
+// the radio graph by editing exactly the two endpoint rows, which
+// become private first. Idempotent.
 func (s *Session) SetLinkDown(id int) error {
 	s.ensureLinks()
 	if id < 0 || id >= len(s.links) {
@@ -330,6 +414,7 @@ func (s *Session) SetLinkDown(id int) error {
 	if s.linkDown[id] {
 		return nil
 	}
+	s.materialize()
 	s.linkDown[id] = true
 	lk := s.links[id]
 	s.adj[lk.A] = removeNeighbor(s.adj[lk.A], lk.B)
@@ -390,14 +475,48 @@ func (s *Session) rebuildRow(i int32) {
 	s.adj[i] = row
 }
 
-// ensureLinks lazily builds the link table, the per-link down flags,
-// and the row→link-id mapping. Ids match LinksOf exactly: for node i,
-// its greater neighbors in pristine row order. The reverse direction
-// (nb < i) is resolved by ranking i among nb's greater neighbors —
-// O(V·deg²) once, never on the round path.
-func (s *Session) ensureLinks() {
-	if s.linkDown != nil || s.links != nil {
+// materialize makes the live graph private: the pristine rows —
+// built here on an indexer that has none yet — are copied into the
+// private rows, reusing their backing arrays when the session has
+// them, and the failed nodes the down mask carries are spliced out.
+// No link is down while the session reads the shared source, so
+// nothing else needs pruning. A no-op once the rows are private.
+func (s *Session) materialize() {
+	if s.own {
 		return
+	}
+	if s.full == nil {
+		s.full = buildAdjacencyUncached(s.topo)
+	}
+	if s.adj == nil {
+		s.adj = copyAdjacency(s.full)
+	} else {
+		for i, row := range s.full {
+			s.adj[i] = append(s.adj[i][:0], row...)
+		}
+	}
+	if s.downN > 0 {
+		for i, d := range s.down {
+			if d {
+				s.splice(int32(i))
+			}
+		}
+	}
+	s.own = true
+}
+
+// ensureLinks lazily builds the link table, the per-link down flags,
+// and the row→link-id mapping, and with them the pristine rows of an
+// indexer. Ids match LinksOf exactly: for node i, its greater neighbors
+// in pristine row order. The reverse direction (nb < i) is resolved by
+// ranking i among nb's greater neighbors — O(V·deg²) once, never on
+// the round path.
+func (s *Session) ensureLinks() {
+	if s.linkDown != nil {
+		return
+	}
+	if s.full == nil {
+		s.full = buildAdjacencyUncached(s.topo)
 	}
 	first := make([]int32, s.v) // first[i] = id of node i's first greater-neighbor link
 	total, n := 0, int32(0)
@@ -439,15 +558,13 @@ func (s *Session) ensureLinks() {
 }
 
 // Reset revives every node and link, those of the construction-time
-// Config.Down and Config.DownLinks included, restoring the pristine
-// graph by refilling each live row in place from its pristine row (no
-// allocation). Plans, arenas, the channel and the link table are
+// Config.Down and Config.DownLinks included, and returns the session
+// to the shared neighbor source without allocating. Plans, arenas, the
+// private rows' backing arrays, the channel and the link table are
 // retained; a restored checkpoint replays its SetNodeDown/SetLinkDown
 // calls on top of a Reset session to reconstruct the exact live graph.
 func (s *Session) Reset() {
-	for i, row := range s.full {
-		s.adj[i] = append(s.adj[i][:0], row...)
-	}
+	s.own = false
 	if s.down != nil {
 		clear(s.down)
 	}
@@ -461,34 +578,57 @@ func (s *Session) Reset() {
 // graph, reusing the session's compiled plan for that source and
 // writing the Result into the session arena. Semantics, error cases
 // and — for equal node/link state — output bytes match sim.Run
-// exactly; only the setup cost differs. The Result is valid until the
-// next Run, Reset, or mutation.
+// exactly. The Result is valid until the next Run, Reset, or mutation.
 func (s *Session) Run(src grid.Coord) (*Result, error) {
-	if !s.topo.Contains(src) {
-		return nil, fmt.Errorf("sim: source %s outside %s mesh", src, s.topo.Kind())
+	e, err := s.start(src, true)
+	if e != nil {
+		defer e.release()
 	}
-	srcIdx := int32(s.topo.Index(src))
-	if s.down != nil && s.down[srcIdx] {
-		return nil, fmt.Errorf("sim: source %s is down", src)
-	}
-	pl := s.plans[srcIdx]
-	if pl == nil {
-		pl = planFor(s.topo, s.proto, src)
-		s.plans[srcIdx] = pl
-	}
-	// sim.Run binds a nil down mask when Config.Down is empty; mirroring
-	// that keeps the engine's nil-vs-allocated branches — and the
-	// Result's downMask — identical while every node is alive.
-	var down []bool
-	if s.downN > 0 {
-		down = s.down
-	}
-	e := getEngine(s.topo, s.proto, pl, src, s.cfg, nil, s.adj, down)
-	defer e.release()
-	if err := e.runSchedule(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	res := e.finishInto(&s.res, &s.arena)
 	e.flushTrace()
 	return res, nil
+}
+
+// start binds a pooled engine to a broadcast from src on the live
+// graph and drives the schedule/repair loop to completion. keep caches
+// a newly compiled plan in the session. A one-shot session does not:
+// planCache already holds the plans a released session would keep, so
+// caching them would only grow a pooled session's map by one entry per
+// source a sweep visits. The caller owns the returned engine
+// (finish/flushTrace/release); it is non-nil whenever an engine was
+// bound, error or not.
+func (s *Session) start(src grid.Coord, keep bool) (*engine, error) {
+	if !s.topo.Contains(src) {
+		return nil, fmt.Errorf("sim: source %s outside %s mesh", src, s.topo.Kind())
+	}
+	srcIdx := int32(s.topo.Index(src))
+	if s.NodeDown(int(srcIdx)) {
+		return nil, fmt.Errorf("sim: source %s is down", src)
+	}
+	pl := s.plans[srcIdx]
+	if pl == nil {
+		pl = planFor(s.topo, s.proto, src)
+		if keep {
+			if s.plans == nil {
+				s.plans = make(map[int32]*relayPlan)
+			}
+			s.plans[srcIdx] = pl
+		}
+	}
+	ix, nbr := s.ix, s.full // the engine reads nbr only when ix is nil
+	if s.own {
+		ix, nbr = nil, s.adj
+	}
+	// A nil down mask while every node is alive keeps the engine's
+	// nil-vs-allocated branches — and the Result's downMask — the same
+	// for a session that never failed a node and one that revived all.
+	var down []bool
+	if s.downN > 0 {
+		down = s.down
+	}
+	e := getEngine(s.topo, s.proto, pl, src, s.cfg, ix, nbr, down)
+	return e, e.runSchedule()
 }

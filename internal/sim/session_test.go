@@ -79,6 +79,42 @@ func (h *sessionHarness) linkUp(id int) {
 	delete(h.cut, id)
 }
 
+// reset revives every node and link through Session.Reset.
+func (h *sessionHarness) reset() {
+	h.sess.Reset()
+	clear(h.down)
+	clear(h.cut)
+}
+
+// wantOwn fails unless the session holds private rows exactly when
+// want says so.
+func (h *sessionHarness) wantOwn(want bool, label string) {
+	h.t.Helper()
+	if got := sim.SessionOwnsRowsForTest(h.sess); got != want {
+		h.t.Fatalf("%s: session holds private rows: %v, want %v", label, got, want)
+	}
+}
+
+// forEachSessionMode runs f once per neighbor source a session can
+// read: "cached", the mesh's shared rows, which any failure makes
+// private, and "implicit", the indexer every mesh gets under a zero
+// large-grid threshold, which node failures leave shared and only a
+// link cut makes private. f's implicit says which.
+func forEachSessionMode(t *testing.T, f func(t *testing.T, implicit bool)) {
+	for _, implicit := range []bool{false, true} {
+		name := "cached"
+		if implicit {
+			name = "implicit"
+		}
+		t.Run(name, func(t *testing.T) {
+			if implicit {
+				defer sim.SetLargeGridThresholdForTest(0)()
+			}
+			f(t, implicit)
+		})
+	}
+}
+
 // oneShotConfig rebuilds the Down/DownLinks lists sim.Run would need
 // for the session's current state, in deterministic dense order (the
 // order the lifetime engine's roundConfig uses).
@@ -100,6 +136,9 @@ func (h *sessionHarness) oneShotConfig() sim.Config {
 
 // check runs the session and the equivalent one-shot config from src
 // and compares the full Results (and trace streams) byte for byte.
+// sim.Run is itself a session, built from the lists instead of
+// mutated, so while no link is cut the state is also held to
+// RunReference, which models Down but not DownLinks.
 func (h *sessionHarness) check(src grid.Coord, label string) {
 	h.t.Helper()
 	var sessTrace, runTrace []sim.Event
@@ -117,6 +156,20 @@ func (h *sessionHarness) check(src grid.Coord, label string) {
 	gj, wj := mustResultJSON(h.t, got), mustResultJSON(h.t, want)
 	if !bytes.Equal(gj, wj) {
 		h.t.Fatalf("%s: session result differs from sim.Run:\n got %s\nwant %s", label, gj, wj)
+	}
+	if len(cfg.DownLinks) == 0 {
+		var refTrace []sim.Event
+		cfg.Trace = sim.CollectTrace(&refTrace)
+		ref, err := sim.RunReference(h.topo, h.proto, src, cfg)
+		if err != nil {
+			h.t.Fatalf("%s: reference: %v", label, err)
+		}
+		if rj := mustResultJSON(h.t, ref); !bytes.Equal(gj, rj) {
+			h.t.Fatalf("%s: session result differs from RunReference:\n got %s\nwant %s", label, gj, rj)
+		}
+		if fmt.Sprint(refTrace) != fmt.Sprint(runTrace) {
+			h.t.Fatalf("%s: sim.Run trace differs from RunReference's", label)
+		}
 	}
 	// Trace equality needs a traced session of the same state: build one
 	// fresh and replay the mutations (cheap at test sizes).
@@ -159,61 +212,77 @@ func mustResultJSON(t *testing.T, r *sim.Result) []byte {
 }
 
 // A scripted mutation sequence over every canonical topology: deaths
-// and link flips interleaved, including a recovery, checked against
-// the one-shot path after every step.
+// and link flips interleaved, including a recovery and a Reset,
+// checked against the one-shot path after every step, in both session
+// modes.
 func TestSessionDifferentialAllKinds(t *testing.T) {
 	for _, k := range grid.Kinds() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
-			topo := grid.Canonical(k)
-			src := topo.At(topo.NumNodes() / 2)
-			h := newSessionHarness(t, topo, core.ForTopology(k), sim.Config{})
-			h.check(src, "pristine")
-			h.nodeDown(3)
-			h.check(src, "one death")
-			h.linkDown(7)
-			h.linkDown(21)
-			h.check(src, "death+cuts")
-			h.linkUp(7)
-			h.check(src, "recovery")
-			h.nodeDown(topo.NumNodes() - 2)
-			h.linkDown(2)
-			h.check(src, "more churn")
-			// Rotate the source: per-source plans must stay correct.
-			h.check(topo.At(1), "rotated source")
+			forEachSessionMode(t, func(t *testing.T, implicit bool) {
+				topo := grid.Canonical(k)
+				src := topo.At(topo.NumNodes() / 2)
+				h := newSessionHarness(t, topo, core.ForTopology(k), sim.Config{})
+				h.check(src, "pristine")
+				h.wantOwn(false, "pristine")
+				h.nodeDown(3)
+				h.check(src, "one death")
+				h.wantOwn(!implicit, "one death")
+				h.linkDown(7)
+				h.linkDown(21)
+				h.check(src, "death+cuts")
+				h.wantOwn(true, "death+cuts")
+				h.linkUp(7)
+				h.check(src, "recovery")
+				h.nodeDown(topo.NumNodes() - 2)
+				h.linkDown(2)
+				h.check(src, "more churn")
+				// Rotate the source: per-source plans must stay correct.
+				h.check(topo.At(1), "rotated source")
+				h.linkUp(21)
+				h.reset()
+				h.check(src, "reset")
+				h.wantOwn(false, "reset")
+				h.nodeDown(5)
+				h.check(src, "death after reset")
+				h.wantOwn(!implicit, "death after reset")
+			})
 		})
 	}
 }
 
 // A pseudo-random churn storm on the 2D-4 mesh: many flips per step,
 // links cut and restored repeatedly, occasional deaths — the exact
-// access pattern of the lifetime hot loop.
+// access pattern of the lifetime hot loop — in both session modes.
 func TestSessionDifferentialChurnStorm(t *testing.T) {
-	topo := grid.NewMesh2D4(10, 10)
-	h := newSessionHarness(t, topo, core.ForTopology(grid.Mesh2D4), sim.Config{})
-	nl := len(h.links)
-	rng := uint64(12345)
-	next := func(n int) int {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		return int((rng >> 33) % uint64(n))
-	}
-	for step := 0; step < 12; step++ {
-		for f := 0; f < 10; f++ {
-			id := next(nl)
-			if h.cut[id] {
-				h.linkUp(id)
-			} else {
-				h.linkDown(id)
-			}
+	forEachSessionMode(t, func(t *testing.T, implicit bool) {
+		topo := grid.NewMesh2D4(10, 10)
+		h := newSessionHarness(t, topo, core.ForTopology(grid.Mesh2D4), sim.Config{})
+		nl := len(h.links)
+		rng := uint64(12345)
+		next := func(n int) int {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			return int((rng >> 33) % uint64(n))
 		}
-		if step%3 == 2 {
-			i := next(topo.NumNodes())
-			if i != topo.NumNodes()/2 && !h.down[i] {
-				h.nodeDown(i)
+		for step := 0; step < 12; step++ {
+			for f := 0; f < 10; f++ {
+				id := next(nl)
+				if h.cut[id] {
+					h.linkUp(id)
+				} else {
+					h.linkDown(id)
+				}
 			}
+			if step%3 == 2 {
+				i := next(topo.NumNodes())
+				if i != topo.NumNodes()/2 && !h.down[i] {
+					h.nodeDown(i)
+				}
+			}
+			h.check(topo.At(topo.NumNodes()/2), "storm step")
 		}
-		h.check(topo.At(topo.NumNodes()/2), "storm step")
-	}
+		h.wantOwn(true, "storm")
+	})
 }
 
 // Random SetNodeDown/SetNodeUp sequences — the Monte Carlo replication

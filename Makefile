@@ -122,7 +122,10 @@ vet:
 # hold an untraced Run to the reference, and TestFrontierMatchesFullScan
 # reruns the full scan beside every frontier planning round.
 # FuzzChurnKeyEquivalence holds the lifetime engine's hoisted churn draw
-# to ChurnUnit.
+# to ChurnUnit. The plans and meshes caches are byte-bounded LRUs, and
+# TestCacheByteBound holds a sweep under a lowered cap to that bound
+# and to the uncapped sweep's bytes; the race target skips it, so the
+# plain test target is its only run.
 session-guard:
 	@$(GO) test ./internal/sim -run='^$$' -list='^TestSessionDifferentialAllKinds$$' | grep -q '^TestSessionDifferentialAllKinds$$' || \
 		{ echo "verify: TestSessionDifferentialAllKinds missing from internal/sim"; exit 1; }
@@ -152,6 +155,8 @@ session-guard:
 		{ echo "verify: TestFrontierMatchesFullScan missing from internal/sim"; exit 1; }
 	@$(GO) test ./internal/sim -run='^$$' -list='^FuzzChurnKeyEquivalence$$' | grep -q '^FuzzChurnKeyEquivalence$$' || \
 		{ echo "verify: FuzzChurnKeyEquivalence missing from internal/sim"; exit 1; }
+	@$(GO) test ./internal/sim -run='^$$' -list='^TestCacheByteBound$$' | grep -q '^TestCacheByteBound$$' || \
+		{ echo "verify: TestCacheByteBound missing from internal/sim"; exit 1; }
 	@for f in differential_test.go largegrid_test.go; do \
 		grep -q 'untracedMatches(t, want' internal/sim/$$f || \
 		{ echo "verify: internal/sim/$$f no longer checks an untraced Run against the reference"; exit 1; }; \

@@ -75,14 +75,13 @@ func (c Config) withDefaults(v int) Config {
 	return c
 }
 
-// largeGridNodes is the node count at (and above) which the engine
-// switches from the cached materialized adjacency of the small-grid
-// path to implicit neighbor indexing and stops populating the
-// unbounded (kind, size)-keyed caches. 64k nodes materialize only a
-// few hundred KiB of adjacency; one step further (256k and beyond) the
-// lists reach tens of MiB and the implicit path wins on both memory
-// and time. A var, not a const, so the differential tests can force
-// either path at any size; production code never mutates it.
+// largeGridNodes is the node count at (and above) which meshSource
+// switches from the mesh's cached materialized rows to implicit
+// neighbor indexing. Below it rows cost at most a few MiB; one step
+// further (256k nodes and beyond) they reach tens of MiB and the
+// implicit path wins on both memory and time. A var, not a const, so
+// the differential tests can force either path at any size; production
+// code never mutates it.
 var largeGridNodes = 1 << 16
 
 // resumeHook, when non-nil, observes the resume slot of every replay
@@ -164,7 +163,7 @@ func oneShot(t grid.Topology, p Protocol, src grid.Coord, cfg Config) (*Session,
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := s.start(src, false)
+	e, err := s.start(src)
 	return s, e, err
 }
 

@@ -16,20 +16,70 @@ import (
 // with Runs.
 
 // SetLargeGridThresholdForTest overrides largeGridNodes: 0 forces the
-// implicit path (and cache gating) at every size, a huge value forces
-// the materialized small-grid path everywhere.
+// implicit path (no cached rows) at every size, a huge value forces the
+// materialized small-grid path everywhere.
 func SetLargeGridThresholdForTest(n int) (restore func()) {
 	old := largeGridNodes
 	largeGridNodes = n
 	return func() { largeGridNodes = old }
 }
 
-// AdjCacheHas reports whether a materialized adjacency is cached for
-// t's (kind, size) — the large-grid tests assert it stays absent.
+// SetCacheBytesForTest empties the plans and meshes caches and sets
+// each one's byte cap to n; restore empties them again and puts the old
+// cap back. Not safe to call while Runs are in flight.
+func SetCacheBytesForTest(n int64) (restore func()) {
+	old := plans.max
+	plans.resetForTest(n)
+	meshes.resetForTest(n)
+	return func() {
+		plans.resetForTest(old)
+		meshes.resetForTest(old)
+	}
+}
+
+func (c *lru[K, V]) resetForTest(max int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.max, c.bytes = max, 0
+	clear(c.items)
+	c.order.Init()
+}
+
+// peek returns k's entry without marking it used.
+func (c *lru[K, V]) peek(k K) (e lruEntry[K, V], ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		return *el.Value.(*lruEntry[K, V]), true
+	}
+	return e, false
+}
+
+// CacheBytesForTest returns the bytes the plans and the meshes caches
+// are charged for the entries they hold.
+func CacheBytesForTest() (planBytes, meshBytes int64) {
+	plans.mu.Lock()
+	planBytes = plans.bytes
+	plans.mu.Unlock()
+	meshes.mu.Lock()
+	defer meshes.mu.Unlock()
+	return planBytes, meshes.bytes
+}
+
+// AdjCacheHas reports whether the meshes cache holds t's (kind, size)
+// rows — the large-grid tests assert it stays without them.
 func AdjCacheHas(t grid.Topology) bool {
 	m, n, l := t.Size()
-	_, ok := meshes.Load(meshKey{t.Kind(), m, n, l})
+	_, ok := meshes.peek(meshKey{t.Kind(), m, n, l})
 	return ok
+}
+
+// SessionMeshCachedForTest reports whether s reads the mesh entry the
+// meshes cache holds now, rather than one it has evicted.
+func SessionMeshCachedForTest(s *Session) bool {
+	m, n, l := s.topo.Size()
+	e, ok := meshes.peek(meshKey{s.topo.Kind(), m, n, l})
+	return ok && e.val == s.mesh
 }
 
 // buildAdjacency returns t's pristine neighbor rows for the reference
@@ -39,7 +89,8 @@ func AdjCacheHas(t grid.Topology) bool {
 func buildAdjacency(t grid.Topology, mutable bool) [][]int32 {
 	mesh, _ := meshSource(t)
 	if mesh == nil {
-		return buildAdjacencyUncached(t)
+		rows, _ := buildAdjacencyUncached(t)
+		return rows
 	}
 	if mutable {
 		return copyAdjacency(mesh.rows)
@@ -47,13 +98,12 @@ func buildAdjacency(t grid.Topology, mutable bool) [][]int32 {
 	return mesh.rows
 }
 
-// PlanCacheHas reports whether the unbounded small-grid plan cache
-// holds an entry for (t, p, src) — large grids must use the bounded
-// LRU instead.
-func PlanCacheHas(t grid.Topology, p Protocol, src grid.Coord) bool {
+// PlanCacheEntry reports whether the plans cache holds the plan of
+// (t, p, src) and the bytes it is charged for it.
+func PlanCacheEntry(t grid.Topology, p Protocol, src grid.Coord) (bytes int64, ok bool) {
 	m, n, l := t.Size()
-	_, ok := planCache.Load(planKey{kind: t.Kind(), m: m, n: n, l: l, src: t.Index(src), proto: p})
-	return ok
+	e, ok := plans.peek(planKey{kind: t.Kind(), m: m, n: n, l: l, src: t.Index(src), proto: p})
+	return e.size, ok
 }
 
 // RunLoopForBenchmark binds a one-shot session as Run does and drives
@@ -110,19 +160,12 @@ func ReuseSessionForTest(s *Session, p Protocol, cfg Config) (*Session, error) {
 func SessionOwnsRowsForTest(s *Session) bool { return s.own }
 
 // RetireForTest releases s as Release does, but keeps it out of the
-// pool, and reports how many per-source plans it kept and how many of
-// those planCache does not hold.
-func RetireForTest(s *Session) (kept, uncached int) {
+// pool, and reports how many per-source plans it held before and kept
+// after.
+func RetireForTest(s *Session) (held, kept int) {
+	held = len(s.plans)
 	s.retire()
-	for src, pl := range s.plans {
-		kept++
-		m, n, l := s.topo.Size()
-		v, ok := planCache.Load(planKey{kind: s.topo.Kind(), m: m, n: n, l: l, src: int(src), proto: s.proto})
-		if !ok || v.(*relayPlan) != pl {
-			uncached++
-		}
-	}
-	return kept, uncached
+	return held, len(s.plans)
 }
 
 // CheckFrontierForTest makes every frontier planning round also run the

@@ -209,10 +209,11 @@ func TestLargeGridForcedMaterialized(t *testing.T) {
 // TestLargeGridNoMaterializedAdjacency is the tentpole's memory claim
 // at full scale: a 1024x1024 8-neighbor broadcast (a million nodes,
 // ~8.4M directed edges) completes through the implicit path with no
-// materialized adjacency anywhere — the shared cache stays empty for
-// the size, and the unbounded plan cache is bypassed for the bounded
-// LRU. Steady-state per-node engine state is O(N) int32 words plus
-// O(N) bits; an adjacency table alone would be ~33 MiB.
+// materialized adjacency anywhere — the meshes cache stays empty for
+// the size — and its plan is held in the byte-bounded plans cache and
+// counted in its bytes. Steady-state per-node engine state is O(N)
+// int32 words plus O(N) bits; an adjacency table alone would be
+// ~33 MiB.
 func TestLargeGridNoMaterializedAdjacency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-node run skipped in -short mode")
@@ -233,8 +234,13 @@ func TestLargeGridNoMaterializedAdjacency(t *testing.T) {
 	if sim.AdjCacheHas(topo) {
 		t.Fatalf("large grid materialized adjacency into the shared cache")
 	}
-	if sim.PlanCacheHas(topo, p, src) {
-		t.Fatalf("large grid populated the unbounded plan cache instead of the LRU")
+	size, ok := sim.PlanCacheEntry(topo, p, src)
+	if !ok {
+		t.Fatalf("large grid plan is not in the plans cache")
+	}
+	if total, _ := sim.CacheBytesForTest(); size < int64(4*topo.NumNodes()) || size > total {
+		t.Fatalf("large grid plan charged %d B of the cache's %d B; its delay table alone is %d B",
+			size, total, 4*topo.NumNodes())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"reflect"
 	"slices"
-	"sync"
 
 	"wsnbcast/internal/grid"
 )
@@ -16,9 +15,9 @@ import (
 // consults the plan on every decode, turning three interface calls —
 // and whatever slice Retransmits allocates — into array lookups. A
 // plan is built once per Run and, for cacheable keys, shared read-only
-// across every Run of the same (kind, size, protocol, source), exactly
-// like the meshes map shares rows: across the thousands of runs of a
-// sweep or a Monte Carlo grid the rules are compiled exactly once.
+// through the plans cache by every Run of the same (kind, size,
+// protocol, source): across the thousands of runs of a sweep or a
+// Monte Carlo grid the rules are compiled once.
 type relayPlan struct {
 	relay bitset
 	delay []int32 // first tx = decode slot + delay[i]; valid when relay set
@@ -66,67 +65,19 @@ type planKey struct {
 	proto   Protocol
 }
 
-// planCache memoizes compiled relay plans, keyed like meshes. Only
-// regular topologies qualify (an Irregular mesh is not determined by
+// planCacheable reports whether p can participate in a planKey. Only
+// regular topologies are cached (an Irregular mesh is not determined by
 // its kind and size), and only protocols whose dynamic type is a
 // comparable non-pointer value: comparability is required to form the
 // key at all, and pointer identity is excluded so short-lived protocol
-// instances (e.g. snapshots) cannot grow the cache without bound.
-var planCache sync.Map // planKey -> *relayPlan
-
-// planCacheable reports whether p can participate in a planKey.
+// instances (e.g. snapshots) cannot churn the cache.
 func planCacheable(p Protocol) bool {
 	t := reflect.TypeOf(p)
 	return t != nil && t.Kind() != reflect.Pointer && t.Comparable()
 }
 
-// bigPlanCache is the large-grid plan cache: a tiny mutex-guarded LRU
-// instead of the unbounded sync.Map. A compiled plan for a 1M-node
-// mesh is ~4 MiB; pinning one per (size, source, protocol) forever —
-// the sync.Map policy, fine below largeGridNodes — would let a source
-// sweep hold gigabytes. Caching is still required at scale: protocols
-// allocate in Retransmits per relay node, so compiling per Run would
-// blow the steady-state allocation budget the engine promises.
-const bigPlanCacheCap = 4
-
-var (
-	bigPlanMu      sync.Mutex
-	bigPlanEntries []bigPlanEntry // least-recently-used first
-)
-
-type bigPlanEntry struct {
-	key planKey
-	pl  *relayPlan
-}
-
-func bigPlanFor(key planKey, compile func() *relayPlan) *relayPlan {
-	bigPlanMu.Lock()
-	for i := range bigPlanEntries {
-		if bigPlanEntries[i].key == key {
-			e := bigPlanEntries[i]
-			bigPlanEntries = append(append(bigPlanEntries[:i], bigPlanEntries[i+1:]...), e)
-			bigPlanMu.Unlock()
-			return e.pl
-		}
-	}
-	bigPlanMu.Unlock()
-	pl := compile() // outside the lock: compilation is O(N) interface calls
-	bigPlanMu.Lock()
-	defer bigPlanMu.Unlock()
-	for i := range bigPlanEntries { // a concurrent compile may have won
-		if bigPlanEntries[i].key == key {
-			return bigPlanEntries[i].pl
-		}
-	}
-	bigPlanEntries = append(bigPlanEntries, bigPlanEntry{key, pl})
-	if len(bigPlanEntries) > bigPlanCacheCap {
-		bigPlanEntries = append(bigPlanEntries[:0], bigPlanEntries[1:]...)
-	}
-	return pl
-}
-
 // planFor returns the compiled relay plan for (t, p, src), from the
-// cache when the key qualifies.
+// plans cache when the key qualifies.
 func planFor(t grid.Topology, p Protocol, src grid.Coord) *relayPlan {
 	srcIdx := t.Index(src)
 	if t.Kind() == grid.Irregular || !planCacheable(p) {
@@ -134,15 +85,16 @@ func planFor(t grid.Topology, p Protocol, src grid.Coord) *relayPlan {
 	}
 	m, n, l := t.Size()
 	key := planKey{kind: t.Kind(), m: m, n: n, l: l, src: srcIdx, proto: p}
-	if t.NumNodes() >= largeGridNodes {
-		return bigPlanFor(key, func() *relayPlan { return compilePlan(t, p, src, srcIdx) })
-	}
-	if v, ok := planCache.Load(key); ok {
-		return v.(*relayPlan)
-	}
-	// Concurrent first access may compile twice; LoadOrStore keeps one.
-	v, _ := planCache.LoadOrStore(key, compilePlan(t, p, src, srcIdx))
-	return v.(*relayPlan)
+	return plans.load(key, func() (*relayPlan, int64) {
+		pl := compilePlan(t, p, src, srcIdx)
+		return pl, pl.bytes()
+	})
+}
+
+// bytes is what the plans cache charges pl: its slices' capacities.
+func (pl *relayPlan) bytes() int64 {
+	words := cap(pl.relay) + cap(pl.hasRetr) + cap(pl.retr) // 8-byte elements
+	return int64(8*words + 4*(cap(pl.delay)+cap(pl.retrRank)+cap(pl.retrIdx)))
 }
 
 // compilePlan evaluates the protocol's rules for every node. The call

@@ -236,10 +236,11 @@ func TestPooledSessionDownListErrors(t *testing.T) {
 	}
 }
 
-// Release keeps in a session only the plans planCache already holds:
-// those of a plan-cacheable protocol value stay, a pointer protocol's
-// are dropped. A second Release is a no-op, so one session can never
-// be pooled twice and handed to two callers.
+// A held session keeps the plan of every source it ran, and Release
+// leaves none of them in it, whatever the protocol, so a pooled
+// session pins no plan the plans cache has evicted. A second
+// Release is a no-op, so one session can never be pooled twice and
+// handed to two callers.
 func TestSessionRelease(t *testing.T) {
 	topo := grid.NewMesh2D4(7, 5)
 	srcs := []grid.Coord{grid.C2(1, 1), grid.C2(4, 3), grid.C2(7, 5)}
@@ -248,13 +249,12 @@ func TestSessionRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name     string
-		p        sim.Protocol
-		wantKept int
+		name string
+		p    sim.Protocol
 	}{
-		{"paper", core.ForTopology(grid.Mesh2D4), len(srcs)},
-		{"gossip", core.NewGossip(0.5), len(srcs)},
-		{"pointer", snap, 0},
+		{"paper", core.ForTopology(grid.Mesh2D4)},
+		{"gossip", core.NewGossip(0.5)},
+		{"pointer", snap},
 	} {
 		sess, err := sim.NewSession(topo, tc.p, sim.Config{})
 		if err != nil {
@@ -265,10 +265,9 @@ func TestSessionRelease(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		kept, uncached := sim.RetireForTest(sess)
-		if kept != tc.wantKept || uncached != 0 {
-			t.Errorf("%s: released session kept %d plans, %d not in planCache; want %d and 0",
-				tc.name, kept, uncached, tc.wantKept)
+		if held, kept := sim.RetireForTest(sess); held != len(srcs) || kept != 0 {
+			t.Errorf("%s: session held %d plans and kept %d after Release; want %d and 0",
+				tc.name, held, kept, len(srcs))
 		}
 	}
 

@@ -40,10 +40,10 @@ func LinksOf(t grid.Topology) []IndexLink {
 // is bound (sim.Run is a one-shot session). Each state change is
 // applied once, in dense-index space, when it happens: SetNodeDown
 // splices the node out of its neighbors' rows (O(deg²)), SetLinkDown /
-// SetLinkUp edit the two endpoint rows, compiled relay plans are cached
-// per source (a plan is a pure function of (topology, protocol,
-// source), so mutations never invalidate one), and the Result's slices
-// live in a session-owned arena rewritten in place each Run.
+// SetLinkUp edit the two endpoint rows, compiled relay plans are kept
+// per source while the session is held (a plan is a pure function of
+// (topology, protocol, source), so mutations never invalidate one), and
+// the Result's slices live in a session-owned arena rewritten in place.
 //
 // A session keeps no rows of its own until a mutation needs them. It
 // reads the shared source meshSource picks — the mesh's cached
@@ -92,23 +92,19 @@ type Session struct {
 	linkDown []bool
 	rowLink  [][]int32
 
-	plans map[int32]*relayPlan // per-source compiled plans of Run, allocated on first use
+	plans map[int32]*relayPlan // per-source compiled plans of Run while held, allocated on first use
 
 	res   Result
 	arena resultArena
 }
 
-// meshes holds one entry per regular mesh below largeGridNodes, keyed
-// by (kind, size): its pristine rows, built once and read by every
-// session on the mesh, and the pool of its released sessions. A pooled
-// session keeps what is a pure function of its mesh — private rows,
-// link table, down mask, Result arena — so the next session on that
-// mesh is built without allocating; an idle one goes away at GC.
-// Irregular meshes get no entry (kind and size do not determine them),
-// nor do larger ones: pinning multi-MiB rows per size forever would
-// let a handful of large runs hold hundreds of MiB.
-var meshes sync.Map // meshKey -> *meshEntry
-
+// The meshes cache holds an entry per regular mesh below largeGridNodes,
+// keyed by (kind, size) and charged its rows' bytes: the pristine rows
+// every session on the mesh reads, and the pool of its released
+// sessions. A pooled session keeps what is a pure function of its mesh
+// (private rows, link table, down mask, Result arena), so the next
+// session on the mesh is built without allocating; an idle one goes
+// away at GC. A session whose entry is evicted keeps its s.full rows.
 type meshKey struct {
 	kind    grid.Kind
 	m, n, l int
@@ -130,28 +126,24 @@ func meshSource(t grid.Topology) (*meshEntry, grid.NeighborIndexer) {
 		return nil, t.(grid.NeighborIndexer)
 	}
 	m, n, l := t.Size()
-	key := meshKey{t.Kind(), m, n, l}
-	v, ok := meshes.Load(key)
-	if !ok {
-		// Concurrent first access may build twice; LoadOrStore keeps one.
-		v, _ = meshes.LoadOrStore(key, &meshEntry{rows: buildAdjacencyUncached(t)})
-	}
-	return v.(*meshEntry), nil
+	return meshes.load(meshKey{t.Kind(), m, n, l}, func() (*meshEntry, int64) {
+		rows, size := buildAdjacencyUncached(t)
+		return &meshEntry{rows: rows}, size
+	}), nil
 }
 
 // buildAdjacencyUncached builds t's pristine neighbor rows, one
-// allocation per row.
-func buildAdjacencyUncached(t grid.Topology) [][]int32 {
+// allocation per row, and reports their bytes, slice headers included.
+func buildAdjacencyUncached(t grid.Topology) ([][]int32, int64) {
 	v := t.NumNodes()
-	adj := make([][]int32, v)
+	adj, size := make([][]int32, v), 24*v
 	var buf []int32
 	for i := 0; i < v; i++ {
 		buf = grid.IndexNeighbors(t, i, buf[:0])
-		row := make([]int32, len(buf))
-		copy(row, buf)
-		adj[i] = row
+		adj[i] = append(make([]int32, 0, len(buf)), buf...)
+		size += 4 * len(buf)
 	}
-	return adj
+	return adj, int64(size)
 }
 
 // removeNeighbor deletes nb from a private adjacency row in place,
@@ -251,9 +243,7 @@ func sessionConfig(t grid.Topology, p Protocol, cfg Config) (Config, error) {
 
 // bind binds a validated (t, p, cfg) to s, a released session of t's
 // pool, or to a new session when s is nil. A reused session's graph is
-// reset; its per-source plans are kept only when p is the same
-// plan-cacheable value they were compiled for, so every kept plan is
-// one planCache also holds.
+// reset; retire already dropped its plans.
 func (s *Session) bind(t grid.Topology, p Protocol, cfg Config, mesh *meshEntry, ix grid.NeighborIndexer) *Session {
 	if s == nil {
 		s = &Session{v: t.NumNodes(), mesh: mesh, ix: ix}
@@ -262,11 +252,6 @@ func (s *Session) bind(t grid.Topology, p Protocol, cfg Config, mesh *meshEntry,
 		}
 	} else {
 		s.Reset()
-		// planCacheable(p) first: comparing two values of one
-		// non-comparable dynamic type would panic.
-		if !planCacheable(p) || s.proto != p {
-			clear(s.plans)
-		}
 	}
 	s.topo, s.proto, s.held = t, p, true
 	for _, c := range cfg.Down {
@@ -285,10 +270,9 @@ func (s *Session) bind(t grid.Topology, p Protocol, cfg Config, mesh *meshEntry,
 
 // Release hands the session back for reuse by a later NewSession on
 // the same mesh. The session and any Result it returned must not be
-// used afterwards; a second Release is a no-op. Plans compiled for a
-// protocol that planCache does not hold are dropped here, and so are
-// the protocol and config, so an idle session pins nothing of its
-// last caller.
+// used afterwards; a second Release is a no-op. The session's plans,
+// protocol and config are dropped here, so an idle session pins
+// nothing of its last caller and no plan the plans cache has evicted.
 func (s *Session) Release() {
 	if !s.held {
 		return
@@ -302,11 +286,8 @@ func (s *Session) Release() {
 // retire is Release's cleanup before the session is pooled.
 func (s *Session) retire() {
 	s.held = false
-	if !planCacheable(s.proto) {
-		clear(s.plans)
-		s.proto = nil
-	}
-	s.cfg = Config{}
+	clear(s.plans)
+	s.proto, s.cfg = nil, Config{}
 	if sessionHook != nil {
 		sessionHook(-1)
 	}
@@ -486,7 +467,7 @@ func (s *Session) materialize() {
 		return
 	}
 	if s.full == nil {
-		s.full = buildAdjacencyUncached(s.topo)
+		s.full, _ = buildAdjacencyUncached(s.topo)
 	}
 	if s.adj == nil {
 		s.adj = copyAdjacency(s.full)
@@ -516,7 +497,7 @@ func (s *Session) ensureLinks() {
 		return
 	}
 	if s.full == nil {
-		s.full = buildAdjacencyUncached(s.topo)
+		s.full, _ = buildAdjacencyUncached(s.topo)
 	}
 	first := make([]int32, s.v) // first[i] = id of node i's first greater-neighbor link
 	total, n := 0, int32(0)
@@ -580,7 +561,7 @@ func (s *Session) Reset() {
 // and — for equal node/link state — output bytes match sim.Run
 // exactly. The Result is valid until the next Run, Reset, or mutation.
 func (s *Session) Run(src grid.Coord) (*Result, error) {
-	e, err := s.start(src, true)
+	e, err := s.start(src)
 	if e != nil {
 		defer e.release()
 	}
@@ -593,14 +574,11 @@ func (s *Session) Run(src grid.Coord) (*Result, error) {
 }
 
 // start binds a pooled engine to a broadcast from src on the live
-// graph and drives the schedule/repair loop to completion. keep caches
-// a newly compiled plan in the session. A one-shot session does not:
-// planCache already holds the plans a released session would keep, so
-// caching them would only grow a pooled session's map by one entry per
-// source a sweep visits. The caller owns the returned engine
-// (finish/flushTrace/release); it is non-nil whenever an engine was
-// bound, error or not.
-func (s *Session) start(src grid.Coord, keep bool) (*engine, error) {
+// graph and drives the schedule/repair loop to completion, keeping the
+// source's plan in the session until Release. The caller owns the
+// returned engine (finish/flushTrace/release); it is non-nil whenever
+// an engine was bound, error or not.
+func (s *Session) start(src grid.Coord) (*engine, error) {
 	if !s.topo.Contains(src) {
 		return nil, fmt.Errorf("sim: source %s outside %s mesh", src, s.topo.Kind())
 	}
@@ -611,12 +589,10 @@ func (s *Session) start(src grid.Coord, keep bool) (*engine, error) {
 	pl := s.plans[srcIdx]
 	if pl == nil {
 		pl = planFor(s.topo, s.proto, src)
-		if keep {
-			if s.plans == nil {
-				s.plans = make(map[int32]*relayPlan)
-			}
-			s.plans[srcIdx] = pl
+		if s.plans == nil {
+			s.plans = make(map[int32]*relayPlan)
 		}
+		s.plans[srcIdx] = pl
 	}
 	ix, nbr := s.ix, s.full // the engine reads nbr only when ix is nil
 	if s.own {

@@ -9,11 +9,11 @@ package sim_test
 //
 //	go test ./internal/sim -bench=Scale -benchmem -run=^$
 //
-// The materialized variants force the small-grid engine configuration
-// (cached lists do not apply above the large-grid gate, so every Run
-// pays the adjacency build the deliberately bounded caches refuse to
-// amortize — exactly what shipping the old path at this scale would
-// cost in steady state, memory-safety policy included).
+// The materialized variants force the small-grid engine configuration:
+// the rows go into the byte-bounded meshes cache like a small mesh's,
+// except where they exceed its cap — 128^3's ~100 MB of rows do, so
+// that variant pays the adjacency build on every Run, which is what
+// shipping the old path at this scale would cost under the cap.
 
 import (
 	"fmt"
